@@ -32,6 +32,11 @@ BOUND_TARGETS = (TARGET_A_K, TARGET_GAMMA_K_A, TARGET_GAMMA_K_CA)
 KIND_LOWER = "lower"
 KIND_UPPER = "upper"
 
+# Bounds whose hypothesis is the caller's planarity assertion, which the code
+# checks only through m <= 3(n - 2). They are reported, but an exact search
+# never starts from them.
+ASSERTED_BOUNDS = frozenset({"planar_graph_lower"})
+
 
 @dataclass(frozen=True)
 class BoundReport:

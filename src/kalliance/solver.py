@@ -113,47 +113,81 @@ def _resolve_cap(max_n: int | None) -> int:
 class _Search:
     """Fixed-cardinality lexicographic subset search with sound pruning.
 
-    A partial selection is abandoned when some already-chosen vertex can no
-    longer reach its required inside-degree even if every remaining slot
-    favored it, or when some vertex can no longer be dominated by any
-    extension. Both tests are optimistic, so they never cut a feasible
-    completion.
+    A node is a chosen prefix ``mask`` whose members are all below ``pos``;
+    ``need`` more vertices are still to come from ``pos..n-1``. ``cover`` is
+    the union of the members' closed neighbourhoods and ``cover_t`` that of
+    their open ones. Every child is tested before it is entered, and with
+    pruning on it is cut when ``_prune`` proves that no completion is
+    feasible. Each rule below is sound on its own, so cutting never skips a
+    feasible set and the first hit of a size stays the lex-least one:
+
+    - dominating, suffix cover: some vertex lies outside ``cover`` and
+      outside the closed neighbourhood of every vertex still available;
+    - dominating, counting: each added vertex ``w`` newly dominates at most
+      ``deg w + 1`` vertices, so ``need`` slots cover at most ``need`` times
+      the largest such count over the suffix;
+    - total dominating, suffix cover and counting: the same with open
+      neighbourhoods and ``deg w``;
+    - connected, counting: order a connected set so that each vertex after
+      the first chosen one has an earlier neighbour; each added vertex is
+      then already dominated, as is that neighbour, so it newly dominates at
+      most ``deg w - 1`` vertices;
+    - connected, reachability: a connected completion lies inside
+      ``mask`` plus the suffix, so every member must be reachable from the
+      lowest one through those vertices;
+    - defensive, per member: a member ``v`` short of its required
+      inside-degree ``req[v] = ceil((deg v + k) / 2)`` gains at most one per
+      added vertex, and only from neighbours in the suffix;
+    - defensive, total deficit: an added vertex ``w`` raises the
+      inside-degree of at most ``deg w`` members, so ``need`` slots fill a
+      total deficit of at most ``need`` times the largest suffix degree.
     """
 
+    RULES = (
+        "dominating_cover", "dominating_count", "total_cover", "total_count",
+        "connected_count", "connected_reach", "defensive_member", "defensive_total",
+    )
+    # A child ``v`` fails these exactly when ``cover`` (``cover_t``) and the
+    # neighbourhoods of ``v..n-1`` miss a vertex, so every later sibling
+    # fails them too.
+    TAIL_RULES = frozenset({"dominating_cover", "total_cover"})
+
     def __init__(self, g: Graph, k: int, needs, pruning: bool):
-        self.n = g.n
-        self.adj = g.adjacency_bits
-        self.deg = g.degrees
-        self.k = k
+        n = g.n
+        self.n = n
+        self.adj = adj = g.adjacency_bits
         self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = needs
         self.pruning = pruning
-        self.full = (1 << g.n) - 1
-        suffix_all = [0] * (g.n + 1)
-        suffix_dom = [0] * (g.n + 1)
-        suffix_tot = [0] * (g.n + 1)
-        for w in range(g.n - 1, -1, -1):
+        self.full = (1 << n) - 1
+        self.req = [(d + k + 1) // 2 for d in g.degrees]
+        suffix_all = [0] * (n + 1)
+        suffix_dom = [0] * (n + 1)
+        suffix_tot = [0] * (n + 1)
+        suffix_deg = [0] * (n + 1)  # largest degree among w >= pos
+        for w in range(n - 1, -1, -1):
             suffix_all[w] = suffix_all[w + 1] | (1 << w)
-            suffix_dom[w] = suffix_dom[w + 1] | (1 << w) | self.adj[w]
-            suffix_tot[w] = suffix_tot[w + 1] | self.adj[w]
+            suffix_dom[w] = suffix_dom[w + 1] | (1 << w) | adj[w]
+            suffix_tot[w] = suffix_tot[w + 1] | adj[w]
+            suffix_deg[w] = max(suffix_deg[w + 1], g.degrees[w])
         self.suffix_all = suffix_all
         self.suffix_dom = suffix_dom
         self.suffix_tot = suffix_tot
+        self.suffix_deg = suffix_deg
+        # Vertices one added vertex can newly dominate, at most.
+        slack = -1 if self.needs_conn else 1
+        self.dom_slots = [d + slack for d in suffix_deg]
+        self.dom_count_rule = "connected_count" if self.needs_conn else "dominating_count"
 
     def run(self, size: int, workers: int) -> tuple[int | None, int, int]:
         """Lex-least feasible subset of the given size (as a bitmask) plus
         (subsets examined, prune events)."""
-        firsts = range(0, self.n - size + 1)
+        stop = self.n - size + 1
         if workers <= 1:
-            subsets = prunes = 0
-            for v0 in firsts:
-                hit, s, p = self._from_first(v0, size)
-                subsets += s
-                prunes += p
-                if hit is not None:
-                    return hit, subsets, prunes
-            return None, subsets, prunes
+            counters = [0, 0]  # subsets examined, prune events
+            hit = self._extend(0, 0, 0, 0, stop, size, counters)
+            return hit, counters[0], counters[1]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda v0: self._from_first(v0, size), firsts))
+            outcomes = list(pool.map(lambda v0: self._from_first(v0, size), range(stop)))
         subsets = sum(s for _, s, _ in outcomes)
         prunes = sum(p for _, _, p in outcomes)
         for hit, _, _ in outcomes:  # firsts order == lexicographic order
@@ -162,72 +196,110 @@ class _Search:
         return None, subsets, prunes
 
     def _from_first(self, v0: int, size: int) -> tuple[int | None, int, int]:
-        counters = [0, 0]  # subsets examined, prune events
-        bit0 = 1 << v0
-        hit = self._extend(
-            [v0], bit0, bit0 | self.adj[v0], self.adj[v0], v0 + 1, size - 1, counters
-        )
+        counters = [0, 0]
+        hit = self._extend(0, 0, 0, v0, v0 + 1, size, counters)
         return hit, counters[0], counters[1]
 
-    def _extend(self, chosen, mask, cover, cover_t, pos, need, counters):
+    def _extend(self, mask, cover, cover_t, start, stop, need, counters):
+        """Visit the children ``start <= v < stop`` of a node that still
+        needs ``need`` vertices, in lex order; return the first hit."""
+        adj = self.adj
+        need -= 1
         if need == 0:
-            counters[0] += 1
-            return mask if self._complete_ok(chosen, mask, cover, cover_t) else None
-        if self.pruning and self._prune(chosen, mask, cover, cover_t, pos, need):
-            counters[1] += 1
+            for v in range(start, stop):
+                b = 1 << v
+                counters[0] += 1
+                if self._complete_ok(mask | b, cover | b | adj[v], cover_t | adj[v]):
+                    return mask | b
             return None
-        for v in range(pos, self.n - need + 1):
+        prune = self._prune if self.pruning else None
+        child_stop = self.n - need + 1
+        for v in range(start, stop):
             b = 1 << v
-            hit = self._extend(
-                chosen + [v], mask | b, cover | b | self.adj[v],
-                cover_t | self.adj[v], v + 1, need - 1, counters,
-            )
+            a = adj[v]
+            child = mask | b
+            child_cover = cover | b | a
+            if prune is not None:
+                rule = prune(child, child_cover, cover_t | a, v + 1, need)
+                if rule is not None:
+                    if rule in self.TAIL_RULES:
+                        counters[1] += stop - v
+                        break
+                    counters[1] += 1
+                    continue
+            hit = self._extend(child, child_cover, cover_t | a, v + 1, child_stop, need, counters)
             if hit is not None:
                 return hit
         return None
 
-    def _prune(self, chosen, mask, cover, cover_t, pos, need) -> bool:
-        if self.needs_dom and (cover | self.suffix_dom[pos]) != self.full:
-            return True
-        if self.needs_tot and (cover_t | self.suffix_tot[pos]) != self.full:
-            return True
+    def _prune(self, mask, cover, cover_t, pos, need) -> str | None:
+        """Name of a rule proving that no ``need`` vertices from
+        ``pos..n-1`` complete ``mask``, or None."""
+        if self.needs_dom:
+            if (cover | self.suffix_dom[pos]) != self.full:
+                return "dominating_cover"
+            if (self.full ^ cover).bit_count() > need * self.dom_slots[pos]:
+                return self.dom_count_rule
+        if self.needs_tot:
+            if (cover_t | self.suffix_tot[pos]) != self.full:
+                return "total_cover"
+            if (self.full ^ cover_t).bit_count() > need * self.suffix_deg[pos]:
+                return "total_count"
         if self.needs_def:
+            adj = self.adj
+            req = self.req
             future = self.suffix_all[pos]
-            for v in chosen:
-                inside = (self.adj[v] & mask).bit_count()
-                gain = (self.adj[v] & future).bit_count()
-                if gain > need:
-                    gain = need
-                if 2 * (inside + gain) < self.deg[v] + self.k:
-                    return True
-        return False
+            total = 0
+            m = mask
+            while m:  # newest member first: it is the likeliest to fail
+                v = m.bit_length() - 1
+                m ^= 1 << v
+                deficit = req[v] - (adj[v] & mask).bit_count()
+                if deficit > 0:
+                    if deficit > need or deficit > (adj[v] & future).bit_count():
+                        return "defensive_member"
+                    total += deficit
+            if total > need * self.suffix_deg[pos]:
+                return "defensive_total"
+        if self.needs_conn and not self._reaches(mask, mask | self.suffix_all[pos]):
+            return "connected_reach"
+        return None
 
-    def _complete_ok(self, chosen, mask, cover, cover_t) -> bool:
-        if self.needs_def:
-            for v in chosen:
-                if 2 * (self.adj[v] & mask).bit_count() < self.deg[v] + self.k:
-                    return False
+    def _complete_ok(self, mask, cover, cover_t) -> bool:
         if self.needs_dom and cover != self.full:
             return False
         if self.needs_tot and cover_t != self.full:
             return False
-        if self.needs_conn and not self._connected(mask):
+        if self.needs_def:
+            adj = self.adj
+            req = self.req
+            m = mask
+            while m:
+                b = m & -m
+                m ^= b
+                v = b.bit_length() - 1
+                if (adj[v] & mask).bit_count() < req[v]:
+                    return False
+        if self.needs_conn and not self._reaches(mask, mask):
             return False
         return True
 
-    def _connected(self, mask: int) -> bool:
-        reached = mask & -mask
-        frontier = reached
+    def _reaches(self, mask: int, within: int) -> bool:
+        """Whether every vertex of ``mask`` is reachable from its lowest one
+        by a path inside ``within``."""
+        reached = frontier = mask & -mask
         while frontier:
+            if mask & reached == mask:
+                return True
             grown = 0
             m = frontier
             while m:
                 b = m & -m
                 m ^= b
                 grown |= self.adj[b.bit_length() - 1]
-            frontier = grown & mask & ~reached
+            frontier = grown & within & ~reached
             reached |= frontier
-        return reached == mask
+        return mask & reached == mask
 
 
 def solve(
@@ -243,8 +315,10 @@ def solve(
     error.
 
     With pruning enabled the cardinality scan starts at the best applicable
-    lower bound for the parameter; this only skips sizes no feasible set can
-    have, so values and witnesses are identical either way.
+    lower bound for the parameter whose hypotheses the code verifies; this
+    only skips sizes no feasible set can have, so values and witnesses are
+    identical either way. A bound resting on a caller's assertion, such as
+    planarity, never sets the starting size.
     """
     _validate_parameter(parameter, k)
     cap = _resolve_cap(max_n)
@@ -258,7 +332,10 @@ def solve(
     needs = _requirements(parameter)
     size_floor = 1
     if use_pruning and parameter in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
-        floor = bounds_mod.best_lower(bounds_mod.lower_reports(g, k_eff, parameter))
+        reports = bounds_mod.lower_reports(g, k_eff, parameter)
+        floor = bounds_mod.best_lower(
+            [r for r in reports if r.name not in bounds_mod.ASSERTED_BOUNDS]
+        )
         if floor is not None:
             size_floor = max(1, min(floor, g.n))
     search = _Search(g, k_eff, needs, use_pruning)

@@ -8,7 +8,9 @@ from kalliance.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    is_connected,
     petersen_graph,
+    random_cubic,
     random_graph,
     star_graph,
 )
@@ -19,7 +21,11 @@ from kalliance.solver import (
     PARAM_GAMMA_K_A,
     PARAM_GAMMA_K_CA,
     PARAM_GAMMA_T,
+    PARAMETERS,
+    STATUS_FOUND,
     ResourceLimitError,
+    _requirements,
+    _Search,
     brute_force_oracle,
     feasibility_profile,
     solve,
@@ -232,3 +238,92 @@ def test_found_witnesses_recertify(g, k):
     total = solve(g, PARAM_GAMMA_T)
     if total.found:
         assert is_total_dominating(g, total.witness)
+
+
+def test_asserted_planarity_never_sets_the_search_floor():
+    # m = 15 = 3(n - 2) passes the only planarity check, yet the graph is
+    # not planar, and the planar bound's value of 7 is wrong for it.
+    g = random_graph(7, 0.7, seed=1186).with_asserted_planar()
+    expected = (STATUS_FOUND, 6, (0, 2, 3, 4, 5, 6))
+    assert outcome(brute_force_oracle(g, PARAM_GAMMA_K_A, 4)) == expected
+    assert outcome(solve(g, PARAM_GAMMA_K_A, 4)) == expected
+
+
+def test_pruning_invariance_on_random_cubic():
+    cubic = [g for g in (random_cubic(12, s) for s in range(1, 10)) if is_connected(g)][:2]
+    assert len(cubic) == 2
+    for g in cubic:
+        for target in K_PARAMETERS:
+            for k in range(-3, 2):
+                pruned = outcome(solve(g, target, k))
+                assert outcome(solve(g, target, k, use_pruning=False)) == pruned
+
+
+# ---------------------------------------------------------------------------
+# Differential checks at sizes where the pruning rules fire
+# ---------------------------------------------------------------------------
+
+def _differential_graphs():
+    """Seeded G(n, p) graphs, n = 7..10, sparse to dense."""
+    return [
+        random_graph(n, p, seed=100 * n + seed)
+        for n in range(7, 11)
+        for p in (0.25, 0.45, 0.65, 0.85)
+        for seed in range(6)
+    ]
+
+
+def _cells(g):
+    d = g.max_degree
+    for target in PARAMETERS:
+        if target in K_PARAMETERS:
+            for k in range(-d - 1, d + 2):
+                yield target, k
+        else:
+            yield target, None
+
+
+@pytest.fixture(scope="module")
+def oracle_cells():
+    return [
+        (g, target, k, brute_force_oracle(g, target, k))
+        for g in _differential_graphs()
+        for target, k in _cells(g)
+    ]
+
+
+def test_solver_matches_oracle_on_random_graphs(oracle_cells):
+    for g, target, k, expected in oracle_cells:
+        assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
+
+
+def _prefix_state(g, members):
+    mask = cover = cover_t = 0
+    for v in members:
+        mask |= 1 << v
+        cover |= (1 << v) | g.adjacency_bits[v]
+        cover_t |= g.adjacency_bits[v]
+    return mask, cover, cover_t
+
+
+@pytest.mark.parametrize("rule", _Search.RULES)
+def test_prune_rule_never_cuts_the_oracle_witness(oracle_cells, rule):
+    fired_below_optimum = 0
+    for g, target, k, expected in oracle_cells:
+        if not expected.found or expected.value < 2:
+            continue
+        search = _Search(g, 0 if k is None else k, _requirements(target), pruning=True)
+        witness = expected.witness_members()
+        for i in range(1, len(witness)):
+            need = len(witness) - i
+            state = _prefix_state(g, witness[:i])
+            assert search._prune(*state, witness[i - 1] + 1, need) != rule, (
+                g.edges, target, k, witness[:i],
+            )
+            # No set below the optimum is feasible, so the rule may fire on
+            # the prefix with one slot fewer, from any later position; doing
+            # so shows that the sample exercises it.
+            for pos in range(witness[i - 1] + 1, g.n):
+                if need > 1 and search._prune(*state, pos, need - 1) == rule:
+                    fired_below_optimum += 1
+    assert fired_below_optimum > 0
