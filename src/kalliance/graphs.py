@@ -36,12 +36,6 @@ class DegreeSequence:
         return self.values[0]
 
     @property
-    def second_largest(self) -> int:
-        if len(self.values) < 2:
-            raise ValueError("second-largest degree needs at least two vertices")
-        return self.values[1]
-
-    @property
     def smallest(self) -> int:
         return self.values[-1]
 
@@ -451,18 +445,7 @@ def connected_components_of(g: Graph, members: Iterable[int]) -> int:
     for v in subset:
         if not 0 <= v < g.n:
             raise IndexError(f"vertex {v} out of range")
-    remaining = set(subset)
-    count = 0
-    while remaining:
-        count += 1
-        stack = [remaining.pop()]
-        while stack:
-            v = stack.pop()
-            for u in g.adjacency[v]:
-                if u in remaining:
-                    remaining.remove(u)
-                    stack.append(u)
-    return count
+    return _component_count(g.adjacency, subset)
 
 
 def _bfs_distances(g: Graph, source: int) -> list[int]:

@@ -140,12 +140,24 @@ class _Search:
       added vertex, and only from neighbours in the suffix;
     - defensive, total deficit: an added vertex ``w`` raises the
       inside-degree of at most ``deg w`` members, so ``need`` slots fill a
-      total deficit of at most ``need`` times the largest suffix degree.
+      total deficit of at most ``need`` times the largest suffix degree;
+    - defensive and dominating, joint counting: in a completion ``mask | A``
+      each unit of the members' total deficit needs an edge from ``A`` to a
+      deficient member, and each undominated vertex is in ``A`` or an
+      outside neighbour of a vertex of ``A``. An added ``w`` with ``m``
+      member neighbours keeps at least ``max(m, req[w])`` neighbours inside,
+      so it meets at most ``c(w) = |N(w) & deficient| + [w undominated] +
+      min(|N(w) & undominated|, deg w - max(m, req[w]))`` of both demands.
+      The count form compares deficit plus undominated with ``need`` times
+      the largest suffix ``deg w + [req[w] <= 0]``, which bounds every
+      ``c(w)``; the sum form with the sum of the ``need`` largest ``c(w)``
+      over the suffix.
     """
 
     RULES = (
         "dominating_cover", "dominating_count", "total_cover", "total_count",
         "connected_count", "connected_reach", "defensive_member", "defensive_total",
+        "joint_count", "joint_sum",
     )
     # A child ``v`` fails these exactly when ``cover`` (``cover_t``) and the
     # neighbourhoods of ``v..n-1`` miss a vertex, so every later sibling
@@ -159,20 +171,25 @@ class _Search:
         self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = needs
         self.pruning = pruning
         self.full = (1 << n) - 1
-        self.req = [(d + k + 1) // 2 for d in g.degrees]
+        deg = g.degrees
+        self.req = req = [(d + k + 1) // 2 for d in deg]
         suffix_all = [0] * (n + 1)
         suffix_dom = [0] * (n + 1)
         suffix_tot = [0] * (n + 1)
         suffix_deg = [0] * (n + 1)  # largest degree among w >= pos
+        joint_slots = [0] * (n + 1)  # bounds c(w) for every w >= pos
         for w in range(n - 1, -1, -1):
             suffix_all[w] = suffix_all[w + 1] | (1 << w)
             suffix_dom[w] = suffix_dom[w + 1] | (1 << w) | adj[w]
             suffix_tot[w] = suffix_tot[w + 1] | adj[w]
-            suffix_deg[w] = max(suffix_deg[w + 1], g.degrees[w])
+            suffix_deg[w] = max(suffix_deg[w + 1], deg[w])
+            joint_slots[w] = max(joint_slots[w + 1], deg[w] + (req[w] <= 0))
         self.suffix_all = suffix_all
         self.suffix_dom = suffix_dom
         self.suffix_tot = suffix_tot
         self.suffix_deg = suffix_deg
+        self.joint_slots = joint_slots
+        self.joint_items = [(1 << w, adj[w], deg[w], req[w]) for w in range(n)]
         # Vertices one added vertex can newly dominate, at most.
         slack = -1 if self.needs_conn else 1
         self.dom_slots = [d + slack for d in suffix_deg]
@@ -238,7 +255,9 @@ class _Search:
         if self.needs_dom:
             if (cover | self.suffix_dom[pos]) != self.full:
                 return "dominating_cover"
-            if (self.full ^ cover).bit_count() > need * self.dom_slots[pos]:
+            short = self.full ^ cover
+            undominated = short.bit_count()
+            if undominated > need * self.dom_slots[pos]:
                 return self.dom_count_rule
         if self.needs_tot:
             if (cover_t | self.suffix_tot[pos]) != self.full:
@@ -250,20 +269,46 @@ class _Search:
             req = self.req
             future = self.suffix_all[pos]
             total = 0
+            deficient = 0
             m = mask
             while m:  # newest member first: it is the likeliest to fail
                 v = m.bit_length() - 1
-                m ^= 1 << v
+                b = 1 << v
+                m ^= b
                 deficit = req[v] - (adj[v] & mask).bit_count()
                 if deficit > 0:
                     if deficit > need or deficit > (adj[v] & future).bit_count():
                         return "defensive_member"
                     total += deficit
+                    deficient |= b
             if total > need * self.suffix_deg[pos]:
                 return "defensive_total"
+            if self.needs_dom:
+                demand = total + undominated
+                if demand > need * self.joint_slots[pos]:
+                    return "joint_count"
+                if demand > self._joint_capacity(mask, deficient, short, pos, need):
+                    return "joint_sum"
         if self.needs_conn and not self._reaches(mask, mask | self.suffix_all[pos]):
             return "connected_reach"
         return None
+
+    def _joint_capacity(self, mask, deficient, short, pos, need) -> int:
+        """Sum of the ``need`` largest ``c(w)`` over ``w >= pos``: the most
+        deficit plus domination that ``need`` added vertices can meet."""
+        caps = []
+        for b, a, d, r in self.joint_items[pos:]:
+            t = (a & short).bit_count()
+            if b & short:  # no member next to w: nothing inside, no deficit
+                outside = d - r if r > 0 else d
+                c = 1 + (t if t < outside else outside)
+            else:
+                inside = (a & mask).bit_count()
+                outside = d - (inside if inside > r else r)
+                c = (a & deficient).bit_count() + (t if t < outside else outside)
+            caps.append(c)
+        caps.sort()
+        return sum(caps[-need:])
 
     def _complete_ok(self, mask, cover, cover_t) -> bool:
         if self.needs_dom and cover != self.full:

@@ -297,6 +297,32 @@ def test_solver_matches_oracle_on_random_graphs(oracle_cells):
         assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
 
 
+@pytest.fixture(scope="module")
+def cubic_oracle_cells():
+    """Connected cubic graphs, n = 14, where deficit plus domination is
+    often exactly what the added vertices can meet."""
+    cubic = [g for g in (random_cubic(14, s) for s in range(1, 20)) if is_connected(g)][:3]
+    assert len(cubic) == 3
+    return [
+        (g, target, k, brute_force_oracle(g, target, k))
+        for g in cubic
+        for target in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA)
+        for k in range(-4, 4)
+    ]
+
+
+def test_solver_matches_oracle_on_random_cubic(cubic_oracle_cells):
+    for g, target, k, expected in cubic_oracle_cells:
+        assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
+
+
+def test_joint_counting_cuts_the_search():
+    # Nodes, not seconds: the count does not depend on the machine. Deficit
+    # and domination bounded apart take 13,409 nodes here.
+    stats = solve(random_cubic(20, 1), PARAM_GAMMA_K_A, 0).stats
+    assert stats.subsets + stats.prunes <= 6700
+
+
 def _prefix_state(g, members):
     mask = cover = cover_t = 0
     for v in members:
@@ -307,9 +333,9 @@ def _prefix_state(g, members):
 
 
 @pytest.mark.parametrize("rule", _Search.RULES)
-def test_prune_rule_never_cuts_the_oracle_witness(oracle_cells, rule):
+def test_prune_rule_never_cuts_the_oracle_witness(oracle_cells, cubic_oracle_cells, rule):
     fired_below_optimum = 0
-    for g, target, k, expected in oracle_cells:
+    for g, target, k, expected in oracle_cells + cubic_oracle_cells:
         if not expected.found or expected.value < 2:
             continue
         search = _Search(g, 0 if k is None else k, _requirements(target), pruning=True)
