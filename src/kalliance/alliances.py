@@ -1,5 +1,6 @@
-"""Alliance and domination predicates, certificates, and the three
-constructive procedures that turn existence proofs into executable code.
+"""The parameter table, alliance and domination predicates, certificates,
+and the three constructive procedures that turn existence proofs into
+executable code.
 
 A set S is a defensive k-alliance when every member has at least k more
 neighbors inside S than outside; "global" additionally requires S to
@@ -9,14 +10,67 @@ dominate the graph. All functions here are pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, connected_components_of
+
+PARAM_A_K = "a_k"
+PARAM_GAMMA_K_A = "gamma_k_a"
+PARAM_GAMMA_K_CA = "gamma_k_ca"
+PARAM_GAMMA = "gamma"
+PARAM_GAMMA_T = "gamma_t"
 
 REQUIRE_DEFENSIVE = "defensive"
 REQUIRE_GLOBAL = "global"
 REQUIRE_GLOBAL_CONNECTED = "global_connected"
-REQUIREMENTS = (REQUIRE_DEFENSIVE, REQUIRE_GLOBAL, REQUIRE_GLOBAL_CONNECTED)
+
+
+class Parameter(NamedTuple):
+    """One minimum-cardinality parameter: what a feasible set must meet.
+
+    ``alias`` is the command line's spelling and ``requirement`` the name
+    ``certify`` checks the same demands under (None when certify has no
+    such name). A parameter takes k exactly when it is defensive. (A named
+    tuple costs a tenth of a frozen dataclass to define at import.)
+    """
+
+    name: str
+    alias: str
+    defensive: bool
+    dominating: bool
+    total: bool
+    connected: bool
+    requirement: str | None
+
+    @property
+    def takes_k(self) -> bool:
+        return self.defensive
+
+    @property
+    def demands(self) -> tuple[bool, bool, bool, bool]:
+        """(defensive, dominating, total, connected), for loops that unpack
+        them once per call rather than read four attributes."""
+        return self.defensive, self.dominating, self.total, self.connected
+
+
+# The parameter table, in the order solver, corpus and CLI walk it.
+PARAMETERS = {row.name: row for row in (
+    #          name              alias     defens dominat total  connect requirement
+    Parameter(PARAM_A_K,        "ak",     True,  False, False, False, REQUIRE_DEFENSIVE),
+    Parameter(PARAM_GAMMA_K_A,  "gka",    True,  True,  False, False, REQUIRE_GLOBAL),
+    Parameter(PARAM_GAMMA_K_CA, "gkca",   True,  True,  False, True,  REQUIRE_GLOBAL_CONNECTED),
+    Parameter(PARAM_GAMMA,      "gamma",  False, True,  False, False, None),
+    Parameter(PARAM_GAMMA_T,    "gammat", False, False, True,  False, None),
+)}
+_BY_REQUIREMENT = {row.requirement: row for row in PARAMETERS.values() if row.requirement}
+
+
+def lookup_parameter(name: str) -> Parameter:
+    """The table row for a parameter name; unknown names are a ValueError."""
+    row = PARAMETERS.get(name)
+    if row is None:
+        raise ValueError(f"unknown parameter {name!r}")
+    return row
 
 
 class ConstructionInvariantError(RuntimeError):
@@ -163,8 +217,10 @@ def is_total_dominating(g: Graph, s: VertexSet) -> bool:
 def certify(
     g: Graph, s: VertexSet, k: int, require: str = REQUIRE_DEFENSIVE
 ) -> AllianceCertificate:
-    """Full certificate for s at level k; ``satisfied`` reflects ``require``."""
-    if require not in REQUIREMENTS:
+    """Full certificate for s at level k; ``satisfied`` reflects the demands
+    of the parameter whose requirement is ``require``."""
+    row = _BY_REQUIREMENT.get(require)
+    if row is None:
         raise ValueError(f"unknown requirement {require!r}")
     if len(s) == 0:
         raise ValueError("alliances are nonempty")
@@ -175,12 +231,11 @@ def certify(
     defensive = all(m >= 0 for m in margins.values())
     dominating = all(c >= 1 for c in dominators.values())
     connected = connected_components_of(g, members) == 1
-    if require == REQUIRE_DEFENSIVE:
-        satisfied = defensive
-    elif require == REQUIRE_GLOBAL:
-        satisfied = defensive and dominating
-    else:
-        satisfied = defensive and dominating and connected
+    satisfied = (
+        (defensive or not row.defensive)
+        and (dominating or not row.dominating)
+        and (connected or not row.connected)
+    )
     return AllianceCertificate(
         subject=s,
         k=k,

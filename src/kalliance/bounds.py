@@ -13,6 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .alliances import (
+    PARAM_A_K,
+    PARAM_GAMMA,
+    PARAM_GAMMA_K_A,
+    PARAM_GAMMA_K_CA,
+    lookup_parameter,
+)
 from .graphs import (
     Graph,
     connected_components_of,
@@ -23,11 +30,6 @@ from .graphs import (
     is_tree,
     is_triangle_free,
 )
-
-TARGET_A_K = "a_k"
-TARGET_GAMMA_K_A = "gamma_k_a"
-TARGET_GAMMA_K_CA = "gamma_k_ca"
-BOUND_TARGETS = (TARGET_A_K, TARGET_GAMMA_K_A, TARGET_GAMMA_K_CA)
 
 KIND_LOWER = "lower"
 KIND_UPPER = "upper"
@@ -98,7 +100,7 @@ def lower_sqrt(n: int, k: int) -> BoundReport:
     """size >= (sqrt(4n + k^2) + k) / 2 for any global defensive k-alliance."""
     anchor = "size >= (sqrt(4n + k^2) + k) / 2"
     value = max(1, _ceil_half_sqrt_plus(4 * n + k * k, k))
-    return BoundReport("lower_sqrt", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("lower_sqrt", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
@@ -112,17 +114,17 @@ def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
     anchor = "size <= n - floor((min_deg - k) / 2)"
     if k > d_min:
         return _na(
-            "upper_min_degree", anchor, KIND_UPPER, TARGET_GAMMA_K_A, k,
+            "upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k,
             f"existence not established for k={k} above minimum degree {d_min}",
         )
     if (d_min - k) // 2 > d_max:
         return _na(
-            "upper_min_degree", anchor, KIND_UPPER, TARGET_GAMMA_K_A, k,
+            "upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k,
             f"k={k} below the provable range: the witness construction would "
             f"remove {(d_min - k) // 2} neighbors but only {d_max} exist",
         )
     value = n - (d_min - k) // 2
-    return BoundReport("upper_min_degree", anchor, KIND_UPPER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:
@@ -130,11 +132,11 @@ def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:
     anchor = "size >= n / (floor((max_deg - k) / 2) + 1)"
     if k > d_max:
         return _na(
-            "lower_maxdeg", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k,
+            "lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
             f"k={k} exceeds maximum degree {d_max}",
         )
     value = max(1, _ceil_div(n, (d_max - k) // 2 + 1))
-    return BoundReport("lower_maxdeg", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
@@ -145,11 +147,11 @@ def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
         raise ValueError("line graph bound needs m >= 1")
     if d1 + d2 - 2 - k < 0:
         return _na(
-            "line_graph_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k,
+            "line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
             f"k={k} exceeds d1 + d2 - 2 = {d1 + d2 - 2}",
         )
     value = max(1, _ceil_div(m, (d1 + d2 - 2 - k) // 2 + 1))
-    return BoundReport("line_graph_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def cubic_upper_2gamma(g: Graph) -> BoundReport:
@@ -157,31 +159,31 @@ def cubic_upper_2gamma(g: Graph) -> BoundReport:
     most twice the domination number."""
     anchor = "cubic: size at k=-1 <= 2 * domination number"
     if not is_cubic(g):
-        return _na("cubic_upper_2gamma", anchor, KIND_UPPER, TARGET_GAMMA_K_A, -1, "not cubic")
-    from .solver import PARAM_GAMMA, solve
+        return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, "not cubic")
+    from .solver import solve
 
     gamma = solve(g, PARAM_GAMMA).value
     return BoundReport(
-        "cubic_upper_2gamma", anchor, KIND_UPPER, TARGET_GAMMA_K_A, -1, 2 * gamma, True
+        "cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma, True
     )
 
 
 def _planar_body(name: str, n: int, k: int, triangle_free: bool) -> BoundReport:
     if n <= 2 * (2 - k):
         return _na(
-            name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, TARGET_GAMMA_K_A, k,
+            name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, PARAM_GAMMA_K_A, k,
             f"order {n} does not exceed 2(2 - k) = {2 * (2 - k)}",
         )
     if triangle_free and k <= 4:
         anchor = "planar triangle-free: |S| >= (n + 8) / (5 - k)"
         value = max(1, _ceil_div(n + 8, 5 - k))
-        return BoundReport(name, anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
     if k <= 6:
         anchor = "planar: |S| >= (n + 12) / (7 - k)"
         value = max(1, _ceil_div(n + 12, 7 - k))
-        return BoundReport(name, anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
     return _na(
-        name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, TARGET_GAMMA_K_A, k,
+        name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, PARAM_GAMMA_K_A, k,
         f"nonpositive denominator for k={k}",
     )
 
@@ -204,11 +206,11 @@ def faces_lower(n: int, f: int, k: int) -> BoundReport:
     anchor = "planar connected <S> with f faces: |S| >= (n - 2f + 4) / (3 - k)"
     if k >= 3:
         return _na(
-            "faces_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k,
+            "faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n - 2 * f + 4, 3 - k))
-    return BoundReport("faces_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def induced_face_count(g: Graph, members) -> int:
@@ -232,11 +234,11 @@ def tree_lower(n: int, c: int, k: int) -> BoundReport:
         raise ValueError("component count must be at least 1")
     if k >= 3:
         return _na(
-            "tree_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k,
+            "tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n + 2 * c, 3 - k))
-    return BoundReport("tree_lower", anchor, KIND_LOWER, TARGET_GAMMA_K_A, k, value, True)
+    return BoundReport("tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
 def connected_lower_i(n: int, d: int, k: int) -> BoundReport:
@@ -244,7 +246,7 @@ def connected_lower_i(n: int, d: int, k: int) -> BoundReport:
     anchor = "size >= (sqrt(4(diam + n - 1) + (1 - k)^2) + k - 1) / 2"
     disc = 4 * (d + n - 1) + (1 - k) ** 2
     value = max(1, _ceil_half_sqrt_plus(disc, k - 1))
-    return BoundReport("connected_lower_i", anchor, KIND_LOWER, TARGET_GAMMA_K_CA, k, value, True)
+    return BoundReport("connected_lower_i", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value, True)
 
 
 def connected_lower_ii(n: int, d: int, d_max: int, k: int) -> BoundReport:
@@ -253,11 +255,11 @@ def connected_lower_ii(n: int, d: int, d_max: int, k: int) -> BoundReport:
     den = (d_max - k) // 2 + 2
     if den < 1:
         return _na(
-            "connected_lower_ii", anchor, KIND_LOWER, TARGET_GAMMA_K_CA, k,
+            "connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k,
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n + d - 1, den))
-    return BoundReport("connected_lower_ii", anchor, KIND_LOWER, TARGET_GAMMA_K_CA, k, value, True)
+    return BoundReport("connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value, True)
 
 
 def line_graph_connected_lower(
@@ -270,19 +272,19 @@ def line_graph_connected_lower(
     disc = 4 * (d + m - 2) + (1 - k) ** 2
     value_i = max(1, _ceil_half_sqrt_plus(disc, k - 1))
     first = BoundReport(
-        "line_graph_connected_lower_i", anchor_i, KIND_LOWER, TARGET_GAMMA_K_CA, k, value_i, True
+        "line_graph_connected_lower_i", anchor_i, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_i, True
     )
     anchor_ii = "line-graph size >= 2(m + diam - 2) / (d1 + d2 - k + 1)"
     den = d1 + d2 - k + 1
     if den < 1:
         second = _na(
-            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, TARGET_GAMMA_K_CA, k,
+            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k,
             f"nonpositive denominator for k={k}",
         )
     else:
         value_ii = max(1, _ceil_div(2 * (m + d - 2), den))
         second = BoundReport(
-            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, TARGET_GAMMA_K_CA, k,
+            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k,
             value_ii, True,
         )
     return first, second
@@ -320,6 +322,11 @@ def _retarget(report: BoundReport, target: str) -> BoundReport:
     )
 
 
+def _check_target(target: str):
+    if not lookup_parameter(target).takes_k:
+        raise ValueError(f"bounds are catalogued for the k parameters only, not {target!r}")
+
+
 def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
     """All lower bounds whose hypotheses g verifiably meets, for one target.
 
@@ -327,9 +334,8 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
     variant, so the connected target inherits them. The plain defensive
     parameter has no catalogued bounds (they all assume domination).
     """
-    if target not in BOUND_TARGETS:
-        raise ValueError(f"unknown bound target {target!r}")
-    if target == TARGET_A_K:
+    _check_target(target)
+    if target == PARAM_A_K:
         return []
     reports = [
         lower_sqrt(g.n, k),
@@ -341,25 +347,24 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
         reports.append(
             _na(
                 "planar_graph_lower", "planar: |S| >= (n + 12) / (7 - k)",
-                KIND_LOWER, TARGET_GAMMA_K_A, k, "graph not asserted planar",
+                KIND_LOWER, PARAM_GAMMA_K_A, k, "graph not asserted planar",
             )
         )
     if is_tree(g):
         reports.append(tree_lower(g.n, 1, k))
-    if target == TARGET_GAMMA_K_CA:
+    if target == PARAM_GAMMA_K_CA:
         if is_connected(g):
             d = diameter(g)
             reports.append(connected_lower_i(g.n, d, k))
             reports.append(connected_lower_ii(g.n, d, g.max_degree, k))
-        reports = [_retarget(r, TARGET_GAMMA_K_CA) for r in reports]
+        reports = [_retarget(r, PARAM_GAMMA_K_CA) for r in reports]
     return reports
 
 
 def upper_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
     """Upper bounds for one target (only the global parameter has any)."""
-    if target not in BOUND_TARGETS:
-        raise ValueError(f"unknown bound target {target!r}")
-    if target != TARGET_GAMMA_K_A:
+    _check_target(target)
+    if target != PARAM_GAMMA_K_A:
         return []
     reports = [upper_min_degree(g.n, g.min_degree, k, g.max_degree)]
     if k == -1 and is_cubic(g):

@@ -13,9 +13,10 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .alliances import VertexSet, certify
+from .alliances import PARAMETERS, VertexSet, certify
 from .corpus import default_corpus_spec, load_corpus_spec, run_corpus
 from .graphs import (
+    _FAMILY_PARAMS,
     Graph,
     ParseError,
     connected_components_of,
@@ -27,31 +28,9 @@ from .graphs import (
     to_edge_list,
 )
 from .known_values import run_known_value_checks
-from .solver import (
-    K_PARAMETERS,
-    PARAM_A_K,
-    PARAM_GAMMA,
-    PARAM_GAMMA_K_A,
-    PARAM_GAMMA_K_CA,
-    PARAM_GAMMA_T,
-    ResourceLimitError,
-    brute_force_oracle,
-    solve,
-)
+from .solver import ResourceLimitError, brute_force_oracle, solve
 
-_TARGET_ALIASES = {
-    "ak": PARAM_A_K,
-    "gka": PARAM_GAMMA_K_A,
-    "gkca": PARAM_GAMMA_K_CA,
-    "gamma": PARAM_GAMMA,
-    "gammat": PARAM_GAMMA_T,
-}
-
-_REQUIRE_FOR_TARGET = {
-    PARAM_A_K: "defensive",
-    PARAM_GAMMA_K_A: "global",
-    PARAM_GAMMA_K_CA: "global_connected",
-}
+_BY_ALIAS = {row.alias: row for row in PARAMETERS.values()}
 
 
 def _read_text(path: str) -> str:
@@ -94,7 +73,7 @@ def _cmd_gen(args) -> int:
             params[name] = value
     if args.p is not None:
         params["p"] = args.p
-    if args.family in ("random_tree", "random_graph", "random_cubic"):
+    if "seed" in _FAMILY_PARAMS[args.family]:
         params.setdefault("seed", 0)
     g = generate(args.family, **params)
     _write_text(args.output, to_edge_list(g))
@@ -103,9 +82,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    target = _TARGET_ALIASES[args.target]
+    row = _BY_ALIAS[args.target]
     k = args.k
-    if target in K_PARAMETERS:
+    if row.takes_k:
         if k is None:
             print("error: this target requires --k", file=sys.stderr)
             return 2
@@ -113,9 +92,7 @@ def _cmd_solve(args) -> int:
     elif k is not None:
         print("error: this target does not take --k", file=sys.stderr)
         return 2
-    result = solve(
-        g, target, k, use_pruning=not args.no_prune, workers=args.workers
-    )
+    result = solve(g, row.name, k, use_pruning=not args.no_prune)
     _emit_json(result.to_json_dict())
     return 0
 
@@ -124,19 +101,20 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.graph)
     if args.assume_planar:
         g = g.with_asserted_planar()
-    target = _TARGET_ALIASES[args.target]
-    if target not in K_PARAMETERS:
-        print("error: bounds are catalogued for ak, gka, and gkca only", file=sys.stderr)
+    row = _BY_ALIAS[args.target]
+    if not row.takes_k:
+        aliases = ", ".join(a for a, r in sorted(_BY_ALIAS.items()) if r.takes_k)
+        print(f"error: bounds are catalogued for {aliases} only", file=sys.stderr)
         return 2
     _warn_k_range(g, args.k)
-    reports = bounds_mod.evaluate_all(g, args.k, target)
+    reports = bounds_mod.evaluate_all(g, args.k, row.name)
     if args.set is None:
         _emit_json([r.to_json_dict() for r in reports])
         return 0
 
     members = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
     subject = VertexSet.from_vertices(g, members)
-    cert = certify(g, subject, args.k, _REQUIRE_FOR_TARGET[target])
+    cert = certify(g, subject, args.k, row.requirement)
     components = connected_components_of(g, members)
     if is_tree(g):
         reports.append(bounds_mod.tree_lower(g.n, components, args.k))
@@ -163,7 +141,7 @@ def _cmd_certify(args) -> int:
         spec = default_corpus_spec()
     else:
         spec = load_corpus_spec(_read_text(args.corpus))
-    result = run_corpus(spec, workers=args.workers)
+    result = run_corpus(spec)
     _write_text(args.output, result.to_csv())
     if args.json is not None:
         _write_text(args.json, json.dumps(result.to_json_dict(), indent=2) + "\n")
@@ -201,10 +179,12 @@ def _cmd_oracle_check(args) -> int:
             )
 
     for k in range(kmin, kmax + 1):
-        for target in K_PARAMETERS:
-            compare(target, k)
-    for target in (PARAM_GAMMA, PARAM_GAMMA_T):
-        compare(target, None)
+        for target, row in PARAMETERS.items():
+            if row.takes_k:
+                compare(target, k)
+    for target, row in PARAMETERS.items():
+        if not row.takes_k:
+            compare(target, None)
     for line in mismatches:
         print(f"mismatch: {line}", file=sys.stderr)
     print(
@@ -234,10 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit an edge list for a named graph family")
-    gen.add_argument("--family", required=True, choices=sorted(
-        ("complete", "complete_bipartite", "star", "path", "cycle", "hypercube",
-         "petersen", "random_tree", "random_graph", "random_cubic")
-    ))
+    gen.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
     gen.add_argument("--n", type=int)
     gen.add_argument("--a", type=int)
     gen.add_argument("--b", type=int)
@@ -249,16 +226,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="exact optimum for one parameter")
     slv.add_argument("--graph", required=True, help="edge-list file, or - for stdin")
-    slv.add_argument("--target", required=True, choices=sorted(_TARGET_ALIASES))
+    slv.add_argument("--target", required=True, choices=sorted(_BY_ALIAS))
     slv.add_argument("--k", type=int)
     slv.add_argument("--no-prune", action="store_true")
-    slv.add_argument("--workers", type=int, default=1)
     slv.set_defaults(func=_cmd_solve)
 
     bnd = sub.add_parser("bounds", help="evaluate the bound catalog")
     bnd.add_argument("--graph", required=True)
     bnd.add_argument("--k", type=int, required=True)
-    bnd.add_argument("--target", required=True, choices=sorted(_TARGET_ALIASES))
+    bnd.add_argument("--target", required=True, choices=sorted(_BY_ALIAS))
     bnd.add_argument("--assume-planar", action="store_true")
     bnd.add_argument("--set", help="comma-separated vertices to certify")
     bnd.set_defaults(func=_cmd_bounds)
@@ -267,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--corpus", required=True, help="spec JSON file, - for stdin, or 'default'")
     cert.add_argument("-o", "--output", help="CSV destination (default stdout)")
     cert.add_argument("--json", help="also write the full JSON report here")
-    cert.add_argument("--workers", type=int, default=1)
     cert.set_defaults(func=_cmd_certify)
 
     orc = sub.add_parser("oracle-check", help="compare the solver against the brute-force oracle")

@@ -3,8 +3,7 @@ corpus, evaluate every applicable bound, and cross-check the whole web of
 identities the solver and bound catalog are supposed to satisfy.
 
 Results are deterministic functions of the corpus spec (all randomness is
-seeded), so the CSV artifact is byte-identical across runs and worker
-counts.
+seeded), so the CSV artifact is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -12,15 +11,17 @@ from __future__ import annotations
 import io
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import bounds as bounds_mod
 from .alliances import (
-    REQUIRE_DEFENSIVE,
-    REQUIRE_GLOBAL,
-    REQUIRE_GLOBAL_CONNECTED,
+    PARAM_A_K,
+    PARAM_GAMMA,
+    PARAM_GAMMA_K_A,
+    PARAM_GAMMA_K_CA,
+    PARAM_GAMMA_T,
+    PARAMETERS,
     ConstructionInvariantError,
     VertexSet,
     certify,
@@ -42,21 +43,7 @@ from .graphs import (
     random_cubic,
     random_graph,
 )
-from .solver import (
-    PARAM_A_K,
-    PARAM_GAMMA,
-    PARAM_GAMMA_K_A,
-    PARAM_GAMMA_K_CA,
-    PARAM_GAMMA_T,
-    ResourceLimitError,
-    SearchStats,
-    SolveResult,
-    solve,
-)
-
-K_TARGETS = (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA)
-GRAPH_TARGETS = (PARAM_GAMMA, PARAM_GAMMA_T)
-ALL_TARGETS = K_TARGETS + GRAPH_TARGETS
+from .solver import ResourceLimitError, SearchStats, SolveResult, solve
 
 DEGREE_RANGE_POLICY = "degree_range"
 _SAMPLE_SEED = 94121
@@ -98,7 +85,7 @@ class CorpusSpec:
 
     graphs: tuple[GraphSpec, ...]
     k_policy: str | tuple[int, int] = DEGREE_RANGE_POLICY
-    targets: tuple[str, ...] = ALL_TARGETS
+    targets: tuple[str, ...] = tuple(PARAMETERS)
     constructive: bool = True
     forest_identity_samples: int = 1000
     shrink_samples: int = 200
@@ -128,7 +115,7 @@ class CorpusSpec:
         return cls(
             graphs=tuple(GraphSpec.from_json_dict(d) for d in data.get("graphs", [])),
             k_policy=policy,
-            targets=tuple(data.get("targets", ALL_TARGETS)),
+            targets=tuple(data.get("targets", PARAMETERS)),
             constructive=bool(data.get("constructive", True)),
             forest_identity_samples=int(data.get("forest_identity_samples", 1000)),
             shrink_samples=int(data.get("shrink_samples", 200)),
@@ -287,10 +274,11 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
     gid = f"{gs.label()}-{g.content_hash()}"
     ks = list(spec.k_range(g))
     want = set(spec.targets)
+    k_targets = [t for t, row in PARAMETERS.items() if row.takes_k and t in want]
 
     table: dict[int, dict[str, SolveResult]] = {}
     for k in ks:
-        table[k] = {t: _solve_row(g, t, k) for t in K_TARGETS if t in want}
+        table[k] = {t: _solve_row(g, t, k) for t in k_targets}
     gamma = _solve_row(g, PARAM_GAMMA)
     gamma_t = _solve_row(g, PARAM_GAMMA_T)
 
@@ -303,17 +291,10 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
     connected = is_connected(g)
     diam = diameter(g) if connected else None
     cubic = is_cubic(g)
-    requires = {
-        PARAM_A_K: REQUIRE_DEFENSIVE,
-        PARAM_GAMMA_K_A: REQUIRE_GLOBAL,
-        PARAM_GAMMA_K_CA: REQUIRE_GLOBAL_CONNECTED,
-    }
 
     for k in ks:
         entries: list[RowEntry] = []
-        for target in K_TARGETS:
-            if target not in want:
-                continue
+        for target in k_targets:
             res = table[k][target]
             try:
                 reports = bounds_mod.evaluate_all(g, k, target)
@@ -325,7 +306,8 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
 
             if res.found:
                 # Re-certify through the set-based predicate path.
-                if not certify(g, res.witness, k, requires[target]).satisfied:
+                requirement = PARAMETERS[target].requirement
+                if not certify(g, res.witness, k, requirement).satisfied:
                     entry.violations.append(
                         f"{gid} k={k} {target}: witness failed re-certification"
                     )
@@ -580,13 +562,9 @@ def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> li
     return problems
 
 
-def run_corpus(spec: CorpusSpec, *, workers: int = 1) -> CorpusResult:
+def run_corpus(spec: CorpusSpec) -> CorpusResult:
     """Certify every corpus row; deterministic given the spec's seeds."""
-    if workers <= 1:
-        outcomes = [_certify_graph(gs, spec) for gs in spec.graphs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda gs: _certify_graph(gs, spec), spec.graphs))
+    outcomes = [_certify_graph(gs, spec) for gs in spec.graphs]
 
     records: list[CertificationRecord] = []
     extras: list[str] = []

@@ -1,8 +1,8 @@
 """Immutable simple-graph core: construction, generators, structural queries.
 
 Vertices are dense integers ``0..n-1`` so vertex subsets can travel as
-bitmasks. Graphs never change after construction, which makes them safe to
-share across any number of concurrent workers.
+bitmasks. Graphs never change after construction, so vertex sets, searches
+and bound reports can all hold the same graph without copying it.
 """
 
 from __future__ import annotations

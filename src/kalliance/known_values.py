@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from .alliances import (
+    PARAM_A_K,
+    PARAM_GAMMA,
+    PARAM_GAMMA_K_A,
+    PARAM_GAMMA_K_CA,
+    PARAM_GAMMA_T,
     REQUIRE_GLOBAL,
     VertexSet,
     boundary_degrees,
@@ -30,14 +35,7 @@ from .graphs import (
     petersen_graph,
     star_graph,
 )
-from .solver import (
-    PARAM_A_K,
-    PARAM_GAMMA,
-    PARAM_GAMMA_K_A,
-    PARAM_GAMMA_K_CA,
-    PARAM_GAMMA_T,
-    solve,
-)
+from .solver import solve
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,10 @@ parameters, plus an independent brute-force oracle.
 ``solve`` enumerates cardinalities from a sound lower bound upward; within a
 cardinality, subsets are visited in lexicographic order and the first
 feasible one wins, which pins the witness to the lexicographically least
-minimum-cardinality set no matter how many workers run. The oracle shares no
-search code with ``solve``: it walks every nonempty subset with
-``itertools.combinations`` and checks the definitions with plain set
-arithmetic.
+minimum-cardinality set. What a feasible set must meet comes from the
+parameter table, ``alliances.PARAMETERS``. The oracle shares no search code
+with ``solve``: it walks every nonempty subset with ``itertools.combinations``
+and checks the table's demands with plain set arithmetic.
 """
 
 from __future__ import annotations
@@ -15,20 +15,18 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import bounds as bounds_mod
-from .alliances import VertexSet
+from .alliances import (
+    PARAM_A_K,
+    PARAM_GAMMA_K_A,
+    PARAM_GAMMA_K_CA,
+    Parameter,
+    VertexSet,
+    lookup_parameter,
+)
 from .graphs import Graph
-
-PARAM_A_K = "a_k"
-PARAM_GAMMA_K_A = "gamma_k_a"
-PARAM_GAMMA_K_CA = "gamma_k_ca"
-PARAM_GAMMA = "gamma"
-PARAM_GAMMA_T = "gamma_t"
-PARAMETERS = (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA, PARAM_GAMMA, PARAM_GAMMA_T)
-K_PARAMETERS = (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA)
 
 STATUS_FOUND = "found"
 STATUS_NONE = "none_exists"
@@ -81,24 +79,13 @@ class SolveResult:
         return out
 
 
-def _requirements(parameter: str) -> tuple[bool, bool, bool, bool]:
-    """(defensive, dominating, total-dominating, connected-induced) checks."""
-    return {
-        PARAM_A_K: (True, False, False, False),
-        PARAM_GAMMA_K_A: (True, True, False, False),
-        PARAM_GAMMA_K_CA: (True, True, False, True),
-        PARAM_GAMMA: (False, True, False, False),
-        PARAM_GAMMA_T: (False, False, True, False),
-    }[parameter]
-
-
-def _validate_parameter(parameter: str, k: int | None):
-    if parameter not in PARAMETERS:
-        raise ValueError(f"unknown parameter {parameter!r}")
-    if parameter in K_PARAMETERS and k is None:
+def _validate_parameter(parameter: str, k: int | None) -> Parameter:
+    row = lookup_parameter(parameter)
+    if row.takes_k and k is None:
         raise ValueError(f"parameter {parameter!r} requires k")
-    if parameter not in K_PARAMETERS and k is not None:
+    if not row.takes_k and k is not None:
         raise ValueError(f"parameter {parameter!r} does not take k")
+    return row
 
 
 def _resolve_cap(max_n: int | None) -> int:
@@ -164,11 +151,11 @@ class _Search:
     # fails them too.
     TAIL_RULES = frozenset({"dominating_cover", "total_cover"})
 
-    def __init__(self, g: Graph, k: int, needs, pruning: bool):
+    def __init__(self, g: Graph, k: int, row: Parameter, pruning: bool):
         n = g.n
         self.n = n
         self.adj = adj = g.adjacency_bits
-        self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = needs
+        self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = row.demands
         self.pruning = pruning
         self.full = (1 << n) - 1
         deg = g.degrees
@@ -195,26 +182,11 @@ class _Search:
         self.dom_slots = [d + slack for d in suffix_deg]
         self.dom_count_rule = "connected_count" if self.needs_conn else "dominating_count"
 
-    def run(self, size: int, workers: int) -> tuple[int | None, int, int]:
+    def run(self, size: int) -> tuple[int | None, int, int]:
         """Lex-least feasible subset of the given size (as a bitmask) plus
         (subsets examined, prune events)."""
-        stop = self.n - size + 1
-        if workers <= 1:
-            counters = [0, 0]  # subsets examined, prune events
-            hit = self._extend(0, 0, 0, 0, stop, size, counters)
-            return hit, counters[0], counters[1]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda v0: self._from_first(v0, size), range(stop)))
-        subsets = sum(s for _, s, _ in outcomes)
-        prunes = sum(p for _, _, p in outcomes)
-        for hit, _, _ in outcomes:  # firsts order == lexicographic order
-            if hit is not None:
-                return hit, subsets, prunes
-        return None, subsets, prunes
-
-    def _from_first(self, v0: int, size: int) -> tuple[int | None, int, int]:
-        counters = [0, 0]
-        hit = self._extend(0, 0, 0, v0, v0 + 1, size, counters)
+        counters = [0, 0]  # subsets examined, prune events
+        hit = self._extend(0, 0, 0, 0, self.n - size + 1, size, counters)
         return hit, counters[0], counters[1]
 
     def _extend(self, mask, cover, cover_t, start, stop, need, counters):
@@ -353,7 +325,6 @@ def solve(
     k: int | None = None,
     *,
     use_pruning: bool = True,
-    workers: int = 1,
     max_n: int | None = None,
 ) -> SolveResult:
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
@@ -365,7 +336,7 @@ def solve(
     identical either way. A bound resting on a caller's assertion, such as
     planarity, never sets the starting size.
     """
-    _validate_parameter(parameter, k)
+    row = _validate_parameter(parameter, k)
     cap = _resolve_cap(max_n)
     if g.n > cap:
         raise ResourceLimitError(
@@ -374,7 +345,6 @@ def solve(
         )
     start = time.perf_counter()
     k_eff = k if k is not None else 0
-    needs = _requirements(parameter)
     size_floor = 1
     if use_pruning and parameter in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
         reports = bounds_mod.lower_reports(g, k_eff, parameter)
@@ -383,10 +353,10 @@ def solve(
         )
         if floor is not None:
             size_floor = max(1, min(floor, g.n))
-    search = _Search(g, k_eff, needs, use_pruning)
+    search = _Search(g, k_eff, row, use_pruning)
     subsets = prunes = 0
     for size in range(size_floor, g.n + 1):
-        hit, s, p = search.run(size, workers)
+        hit, s, p = search.run(size)
         subsets += s
         prunes += p
         if hit is not None:
@@ -435,12 +405,12 @@ def _naive_feasible(nbrs, n, members, k, needs) -> bool:
 
 def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveResult:
     """Unpruned cardinality-then-lex enumeration of all nonempty subsets."""
-    _validate_parameter(parameter, k)
+    row = _validate_parameter(parameter, k)
     if g.n > ORACLE_MAX_N:
         raise ResourceLimitError(f"oracle is capped at n <= {ORACLE_MAX_N}")
     start = time.perf_counter()
     k_eff = k if k is not None else 0
-    needs = _requirements(parameter)
+    needs = row.demands
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     examined = 0
     for size in range(1, g.n + 1):

@@ -7,41 +7,25 @@ lines as they complete. All equalities are exact integer comparisons.
 import pytest
 
 from kalliance.alliances import (
+    PARAM_A_K,
+    PARAM_GAMMA,
+    PARAM_GAMMA_K_A,
+    PARAMETERS,
     VertexSet,
     certify,
     construct_upper_witness,
     cubic_augment_dominating,
 )
-from kalliance.bounds import (
-    connected_lower_i,
-    connected_lower_ii,
-    faces_lower,
-    induced_face_count,
-    kn_closed_form,
-    line_graph_lower,
-    lower_maxdeg,
-)
+from kalliance.bounds import faces_lower, induced_face_count, kn_closed_form
 from kalliance.graphs import (
-    complete_bipartite_graph,
     complete_graph,
-    hypercube_graph,
     is_cubic,
     is_regular,
-    line_graph,
-    petersen_graph,
     random_graph,
     star_graph,
 )
-from kalliance.solver import (
-    K_PARAMETERS,
-    PARAM_A_K,
-    PARAM_GAMMA,
-    PARAM_GAMMA_K_A,
-    PARAM_GAMMA_K_CA,
-    PARAM_GAMMA_T,
-    brute_force_oracle,
-    solve,
-)
+from kalliance.known_values import run_known_value_checks
+from kalliance.solver import brute_force_oracle, solve
 
 
 def _report(criterion, description, problems):
@@ -55,19 +39,23 @@ def _expect(problems, label, got, expected):
         problems.append(f"{label}: got {got!r}, expected {expected!r}")
 
 
-def test_c01_cube_exact_values():
-    problems = []
-    q3 = hypercube_graph(3)
-    _expect(problems, "a_k k=-1", solve(q3, PARAM_A_K, -1).value, 2)
-    _expect(problems, "a_k k=0", solve(q3, PARAM_A_K, 0).value, 4)
-    for k in (-1, 0):
-        _expect(problems, f"gamma_k_a k={k}", solve(q3, PARAM_GAMMA_K_A, k).value, 4)
-    for k in (2, 3):
-        _expect(problems, f"gamma_k_a k={k}", solve(q3, PARAM_GAMMA_K_A, k).value, 8)
-    _expect(problems, "gamma", solve(q3, PARAM_GAMMA).value, 2)
-    _expect(problems, "gamma_t", solve(q3, PARAM_GAMMA_T).value, 4)
-    for k in (0, 1):
-        _expect(problems, f"gamma_k_ca k={k}", solve(q3, PARAM_GAMMA_K_CA, k).value, 4)
+@pytest.fixture(scope="module")
+def known_checks():
+    """The known values are kept once, in ``known_values``; the criteria
+    below select their checks by name."""
+    return run_known_value_checks()
+
+
+def _known(checks, prefixes, count):
+    picked = [c for c in checks if c.name.startswith(prefixes)]
+    problems = [f"{c.name}: {c.detail}" for c in picked if not c.ok]
+    if len(picked) != count:
+        problems.append(f"{len(picked)} known-value checks match {prefixes}, expected {count}")
+    return problems
+
+
+def test_c01_cube_exact_values(known_checks):
+    problems = _known(known_checks, ("cube a_k at k=", "cube gamma"), 10)
     _report("C1", "3-cube exact alliance, domination, and connected values", problems)
 
 
@@ -88,40 +76,27 @@ def test_c02_complete_graph_closed_form():
     _report("C2", "complete graphs match the closed form and the shrink chain", problems)
 
 
-def test_c03_petersen_attains_degree_bound():
-    problems = []
-    pet = petersen_graph()
-    expected = {-3: 3, -2: 4, -1: 4, 0: 5, 1: 5, 2: 10, 3: 10}
-    for k, value in expected.items():
-        _expect(problems, f"petersen k={k}", solve(pet, PARAM_GAMMA_K_A, k).value, value)
-        _expect(problems, f"lower_maxdeg k={k}", lower_maxdeg(10, 3, k).value, value)
+def test_c03_petersen_attains_degree_bound(known_checks):
+    prefixes = ("petersen gamma_k_a at k=", "petersen lower_maxdeg attained at k=")
+    problems = _known(known_checks, prefixes, 14)
     _report("C3", "Petersen values equal the degree-based lower bound", problems)
 
 
-def test_c04_line_graph_of_star_is_k4():
-    problems = []
-    star = star_graph(5)
-    lg, _ = line_graph(star)
-    _expect(problems, "line graph", lg, complete_graph(4))
-    expected = {-3: 1, -2: 2, -1: 2, 2: 4, 3: 4}
-    for k, value in expected.items():
-        _expect(problems, f"K_4 k={k}", solve(lg, PARAM_GAMMA_K_A, k).value, value)
-        _expect(
-            problems,
-            f"line bound k={k}",
-            line_graph_lower(star.m, 4, 1, k).value,
-            value,
-        )
+def test_c04_line_graph_of_star_is_k4(known_checks):
+    prefixes = (
+        "line graph of the 4-star", "K_4 gamma_k_a at k=", "line-graph lower bound attained at k=",
+    )
+    problems = _known(known_checks, prefixes, 11)
     _report("C4", "K_4 values equal the line-graph bound from the 4-star", problems)
 
 
-def test_c05_k33_connected_values():
-    problems = []
-    k33 = complete_bipartite_graph(3, 3)
-    for k in (-3, -2, -1):
-        _expect(problems, f"gamma_k_ca k={k}", solve(k33, PARAM_GAMMA_K_CA, k).value, 2)
-        _expect(problems, f"connected_i k={k}", connected_lower_i(6, 2, k).value, 2)
-        _expect(problems, f"connected_ii k={k}", connected_lower_ii(6, 2, 3, k).value, 2)
+def test_c05_k33_connected_values(known_checks):
+    prefixes = (
+        "K_3,3 gamma_k_ca at k=",
+        "connected bound (i) attained on K_3,3",
+        "connected bound (ii) attained on K_3,3",
+    )
+    problems = _known(known_checks, prefixes, 9)
     _report("C5", "K_3,3 connected values match both diameter bounds", problems)
 
 
@@ -152,8 +127,8 @@ def test_c07_oracle_equivalence():
         g = random_graph(n, p, 5000 + i)
         graph_count += 1
         d = g.max_degree
-        checks = [(t, k) for k in range(-d, d + 1) for t in K_PARAMETERS]
-        checks += [(PARAM_GAMMA, None), (PARAM_GAMMA_T, None)]
+        checks = [(t, k) for k in range(-d, d + 1) for t, row in PARAMETERS.items() if row.takes_k]
+        checks += [(t, None) for t, row in PARAMETERS.items() if not row.takes_k]
         for target, k in checks:
             fast = solve(g, target, k)
             slow = brute_force_oracle(g, target, k)

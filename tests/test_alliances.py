@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kalliance.alliances import (
+    PARAMETERS,
     ConstructionInvariantError,
     VertexSet,
     boundary_degrees,
@@ -21,6 +22,7 @@ from kalliance.graphs import (
     petersen_graph,
     star_graph,
 )
+from kalliance.solver import _naive_feasible
 
 from .strategies import graphs, graphs_with_subset, small_k
 
@@ -157,6 +159,25 @@ def test_dominating_sets_certify_at_minus_max_degree(gs):
     g, s = gs
     if is_dominating(g, s):
         assert certify(g, s, -g.max_degree, "global").satisfied
+
+
+@settings(max_examples=200)
+@given(graphs_with_subset(max_n=7), small_k())
+def test_parameter_table_verdicts_match_the_oracle(gs, k):
+    # certify and the predicates read each row's demands their own way; the
+    # oracle checks the same row's definitions with plain set arithmetic.
+    g, s = gs
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    members = set(s.members)
+    for name, row in PARAMETERS.items():
+        expected = _naive_feasible(nbrs, g.n, members, k, row.demands)
+        if row.requirement is not None:
+            got = certify(g, s, k, row.requirement).satisfied
+        elif row.total:
+            got = is_total_dominating(g, s)
+        else:
+            got = is_dominating(g, s)
+        assert got == expected, (name, g.edges, s.members, k)
 
 
 @given(graphs_with_subset(max_n=7), small_k())

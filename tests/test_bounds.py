@@ -32,7 +32,7 @@ from kalliance.graphs import (
     random_tree,
     star_graph,
 )
-from kalliance.solver import K_PARAMETERS, brute_force_oracle, solve
+from kalliance.solver import brute_force_oracle, solve
 
 from .strategies import graphs, graphs_with_subset, small_k
 
