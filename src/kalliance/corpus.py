@@ -266,7 +266,7 @@ def _solve_row(g: Graph, target: str, k: int | None = None) -> SolveResult:
     try:
         return solve(g, target, k)
     except ResourceLimitError:
-        return SolveResult(target, k, "resource_error", None, None, SearchStats(0, 0, 0))
+        return SolveResult(target, k, "resource_error", None, None, SearchStats(0, 0, 0.0))
 
 
 def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:

@@ -44,7 +44,7 @@ class ResourceLimitError(RuntimeError):
 class SearchStats:
     subsets: int
     prunes: int
-    millis: int
+    seconds: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class SolveResult:
         out["stats"] = {
             "subsets": self.stats.subsets,
             "prunes": self.stats.prunes,
-            "millis": self.stats.millis,
+            "seconds": self.stats.seconds,
         }
         return out
 
@@ -115,13 +115,21 @@ class _Search:
       the largest such count over the suffix;
     - total dominating, suffix cover and counting: the same with open
       neighbourhoods and ``deg w``;
-    - connected, counting: order a connected set so that each vertex after
-      the first chosen one has an earlier neighbour; each added vertex is
-      then already dominated, as is that neighbour, so it newly dominates at
-      most ``deg w - 1`` vertices;
+    - connected, counting: order a connected completion ``S = mask | A``
+      breadth-first in ``G[S]`` from its lowest member, so that each vertex
+      after the first has an earlier neighbour; each added vertex is then
+      already dominated, as is that neighbour, so it newly dominates at most
+      ``deg w - 1`` vertices. Members of different components of ``G[mask]``
+      are never adjacent, so the first member ``x`` of each of the other
+      ``C - 1`` components is entered from an added vertex ``q``, and
+      ``N[q]`` holds ``x`` as a third vertex already dominated. The ``need``
+      added vertices therefore newly dominate at most ``need`` times the
+      largest suffix ``deg w - 1``, less ``C - 1``;
     - connected, reachability: a connected completion lies inside
       ``mask`` plus the suffix, so every member must be reachable from the
-      lowest one through those vertices;
+      lowest one through those vertices. One walk (``_components``) checks
+      this and counts ``C``; the plain count above, which is ``C = 1``,
+      runs first because it needs no walk;
     - defensive, per member: a member ``v`` short of its required
       inside-degree ``req[v] = ceil((deg v + k) / 2)`` gains at most one per
       added vertex, and only from neighbours in the suffix;
@@ -261,8 +269,12 @@ class _Search:
                     return "joint_count"
                 if demand > self._joint_capacity(mask, deficient, short, pos, need):
                     return "joint_sum"
-        if self.needs_conn and not self._reaches(mask, mask | self.suffix_all[pos]):
-            return "connected_reach"
+        if self.needs_conn:
+            components = self._components(mask, self.suffix_all[pos])
+            if not components:
+                return "connected_reach"
+            if self.needs_dom and undominated > need * self.dom_slots[pos] - components + 1:
+                return "connected_count"
         return None
 
     def _joint_capacity(self, mask, deficient, short, pos, need) -> int:
@@ -297,26 +309,42 @@ class _Search:
                 v = b.bit_length() - 1
                 if (adj[v] & mask).bit_count() < req[v]:
                     return False
-        if self.needs_conn and not self._reaches(mask, mask):
+        if self.needs_conn and self._components(mask, 0) != 1:
             return False
         return True
 
-    def _reaches(self, mask: int, within: int) -> bool:
-        """Whether every vertex of ``mask`` is reachable from its lowest one
-        by a path inside ``within``."""
-        reached = frontier = mask & -mask
-        while frontier:
-            if mask & reached == mask:
-                return True
+    def _components(self, mask: int, outside: int) -> int:
+        """Number of components of ``G[mask]`` when every member is reachable
+        from the lowest one through ``mask | outside``, else 0."""
+        adj = self.adj
+        reached = frontier = count = 0
+        todo = mask & -mask  # reached members whose component is not closed
+        while todo or frontier:
             grown = 0
-            m = frontier
-            while m:
-                b = m & -m
-                m ^= b
-                grown |= self.adj[b.bit_length() - 1]
-            frontier = grown & within & ~reached
+            while todo:
+                comp = step = todo & -todo
+                while step:
+                    near = 0
+                    while step:
+                        b = step & -step
+                        step ^= b
+                        near |= adj[b.bit_length() - 1]
+                    grown |= near
+                    step = near & mask & ~comp
+                    comp |= step
+                count += 1
+                reached |= comp
+                if mask & reached == mask:
+                    return count
+                todo &= ~comp
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                grown |= adj[b.bit_length() - 1]
+            frontier = grown & outside & ~reached
             reached |= frontier
-        return mask & reached == mask
+            todo = grown & mask & ~reached
+        return 0
 
 
 def solve(
@@ -360,13 +388,12 @@ def solve(
         subsets += s
         prunes += p
         if hit is not None:
-            millis = int((time.perf_counter() - start) * 1000)
             return SolveResult(
                 parameter, k, STATUS_FOUND, size, VertexSet(g, hit),
-                SearchStats(subsets, prunes, millis),
+                SearchStats(subsets, prunes, time.perf_counter() - start),
             )
-    millis = int((time.perf_counter() - start) * 1000)
-    return SolveResult(parameter, k, STATUS_NONE, None, None, SearchStats(subsets, prunes, millis))
+    stats = SearchStats(subsets, prunes, time.perf_counter() - start)
+    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +444,13 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
         for combo in itertools.combinations(range(g.n), size):
             examined += 1
             if _naive_feasible(nbrs, g.n, set(combo), k_eff, needs):
-                millis = int((time.perf_counter() - start) * 1000)
                 return SolveResult(
                     parameter, k, STATUS_FOUND, size,
                     VertexSet.from_vertices(g, combo),
-                    SearchStats(examined, 0, millis),
+                    SearchStats(examined, 0, time.perf_counter() - start),
                 )
-    millis = int((time.perf_counter() - start) * 1000)
-    return SolveResult(parameter, k, STATUS_NONE, None, None, SearchStats(examined, 0, millis))
+    stats = SearchStats(examined, 0, time.perf_counter() - start)
+    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
 
 
 def feasibility_profile(g: Graph) -> dict[int, dict[str, bool]]:

@@ -66,7 +66,8 @@ def test_solve_round_trip(capsys, tmp_path):
     assert payload["status"] == "found"
     assert payload["value"] == direct.value
     assert tuple(payload["witness"]) == direct.witness_members()
-    assert set(payload["stats"]) == {"subsets", "prunes", "millis"}
+    assert set(payload["stats"]) == {"subsets", "prunes", "seconds"}
+    assert isinstance(payload["stats"]["seconds"], float)
 
 
 def test_solve_reads_stdin(capsys, monkeypatch):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,7 @@ from kalliance.graphs import (
     petersen_graph,
     random_cubic,
     random_graph,
+    random_tree,
     star_graph,
 )
 from kalliance.solver import (
@@ -133,8 +136,10 @@ def test_results_identical_with_and_without_pruning():
 def test_stats_are_populated():
     result = solve(Q3, PARAM_GAMMA_K_A, 0)
     assert result.stats.subsets > 0
-    assert result.stats.millis >= 0
-    assert result.to_json_dict()["stats"]["subsets"] == result.stats.subsets
+    assert isinstance(result.stats.seconds, float) and result.stats.seconds > 0
+    stats = result.to_json_dict()["stats"]
+    assert stats["subsets"] == result.stats.subsets
+    assert stats["seconds"] == result.stats.seconds
 
 
 def test_json_shape():
@@ -322,6 +327,52 @@ def test_joint_counting_cuts_the_search():
     assert stats.subsets + stats.prunes <= 6700
 
 
+def test_connected_counting_cuts_the_search():
+    # Nodes, not seconds. Without the charge for each extra component of the
+    # chosen set, these take 48,788 and 31,512 nodes.
+    g = random_cubic(20, 24)
+    for k, most in ((-3, 30000), (-1, 24000)):
+        stats = solve(g, PARAM_GAMMA_K_CA, k).stats
+        assert stats.subsets + stats.prunes <= most, k
+
+
+@pytest.fixture(scope="module")
+def sparse_oracle_cells():
+    """Seeded random trees plus 0-3 chords, n = 10..13: chosen prefixes
+    often fall apart into several components, and degrees vary."""
+    cells = []
+    for n in range(10, 14):
+        for chords in range(4):
+            seed = 10 * n + chords
+            g = random_tree(n, seed)
+            if chords:
+                missing = [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if (u, v) not in g.edges]
+                g = Graph(n, g.edges + tuple(random.Random(seed).sample(missing, chords)))
+            for k in range(-g.max_degree - 1, 2):
+                cells.append((g, PARAM_GAMMA_K_CA, k, brute_force_oracle(g, PARAM_GAMMA_K_CA, k)))
+    return cells
+
+
+def test_solver_matches_oracle_on_sparse_graphs(sparse_oracle_cells):
+    for g, target, k, expected in sparse_oracle_cells:
+        assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
+
+
+def test_connected_count_charges_each_extra_component():
+    # C_8 at k = -2 asks for a connected dominating set. The prefix {0, 3}
+    # has two components and leaves 5 and 6 undominated; two vertices from
+    # 4..7 could dominate both, but cannot also join 0 to 3.
+    g = cycle_graph(8)
+    search = _Search(g, -2, PARAMETERS[PARAM_GAMMA_K_CA], pruning=True)
+    mask, cover, cover_t = _prefix_state(g, (0, 3))
+    pos, need = 4, 2
+    undominated = (search.full ^ cover).bit_count()
+    assert undominated == need * (g.max_degree - 1)
+    assert search._prune(mask, cover, cover_t, pos, need) == "connected_count"
+    assert brute_force_oracle(g, PARAM_GAMMA_K_CA, -2).value > 2 + need
+
+
 def _prefix_state(g, members):
     mask = cover = cover_t = 0
     for v in members:
@@ -332,9 +383,11 @@ def _prefix_state(g, members):
 
 
 @pytest.mark.parametrize("rule", _Search.RULES)
-def test_prune_rule_never_cuts_the_oracle_witness(oracle_cells, cubic_oracle_cells, rule):
+def test_prune_rule_never_cuts_the_oracle_witness(
+    oracle_cells, cubic_oracle_cells, sparse_oracle_cells, rule,
+):
     fired_below_optimum = 0
-    for g, target, k, expected in oracle_cells + cubic_oracle_cells:
+    for g, target, k, expected in oracle_cells + cubic_oracle_cells + sparse_oracle_cells:
         if not expected.found or expected.value < 2:
             continue
         search = _Search(g, 0 if k is None else k, PARAMETERS[target], pruning=True)
