@@ -83,16 +83,9 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     row = _BY_ALIAS[args.target]
-    k = args.k
-    if row.takes_k:
-        if k is None:
-            print("error: this target requires --k", file=sys.stderr)
-            return 2
-        _warn_k_range(g, k)
-    elif k is not None:
-        print("error: this target does not take --k", file=sys.stderr)
-        return 2
-    result = solve(g, row.name, k, use_pruning=not args.no_prune)
+    if row.takes_k and args.k is not None:
+        _warn_k_range(g, args.k)
+    result = solve(g, row.name, args.k)
     _emit_json(result.to_json_dict())
     return 0
 
@@ -228,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--graph", required=True, help="edge-list file, or - for stdin")
     slv.add_argument("--target", required=True, choices=sorted(_BY_ALIAS))
     slv.add_argument("--k", type=int)
-    slv.add_argument("--no-prune", action="store_true")
     slv.set_defaults(func=_cmd_solve)
 
     bnd = sub.add_parser("bounds", help="evaluate the bound catalog")

@@ -44,8 +44,9 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Equality and hashing are structural on ``(n, edges)``; the provenance
-    flags (``asserted_planar``, ``is_tree_by_construction``) are set only by
-    generators or an explicit caller assertion and do not affect equality.
+    flag ``asserted_planar`` is set only by generators or an explicit caller
+    assertion and does not affect equality. Structural properties such as
+    being a tree are computed (``is_tree``), not carried as flags.
     """
 
     __slots__ = (
@@ -55,7 +56,6 @@ class Graph:
         "adjacency_bits",
         "degrees",
         "asserted_planar",
-        "is_tree_by_construction",
     )
 
     def __init__(
@@ -64,7 +64,6 @@ class Graph:
         edges: Iterable[tuple[int, int]] = (),
         *,
         asserted_planar: bool = False,
-        is_tree_by_construction: bool = False,
     ):
         if not isinstance(n, int) or n < 1:
             raise ValueError("graph order must be a positive integer")
@@ -94,9 +93,6 @@ class Graph:
             raise ValueError(
                 f"planarity assertion rejected: m={len(canon)} exceeds 3(n-2)={3 * (n - 2)}"
             )
-        if is_tree_by_construction:
-            if len(canon) != n - 1 or _component_count(nbrs, range(n)) != 1:
-                raise ValueError("tree flag requires a connected graph with m = n-1")
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
@@ -104,7 +100,6 @@ class Graph:
         object.__setattr__(self, "adjacency_bits", tuple(bits))
         object.__setattr__(self, "degrees", tuple(len(s) for s in nbrs))
         object.__setattr__(self, "asserted_planar", bool(asserted_planar))
-        object.__setattr__(self, "is_tree_by_construction", bool(is_tree_by_construction))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -147,12 +142,7 @@ class Graph:
 
     def with_asserted_planar(self) -> "Graph":
         """Copy with the planarity flag set; rejects graphs with m > 3(n-2)."""
-        return Graph(
-            self.n,
-            self.edges,
-            asserted_planar=True,
-            is_tree_by_construction=self.is_tree_by_construction,
-        )
+        return Graph(self.n, self.edges, asserted_planar=True)
 
     def content_hash(self) -> str:
         """Order-independent identity over (n, sorted edge list)."""
@@ -255,12 +245,7 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("complete bipartite graph needs both sides nonempty")
     edges = [(u, a + v) for u in range(a) for v in range(b)]
-    return Graph(
-        a + b,
-        edges,
-        asserted_planar=min(a, b) <= 2,
-        is_tree_by_construction=min(a, b) == 1,
-    )
+    return Graph(a + b, edges, asserted_planar=min(a, b) <= 2)
 
 
 def star_graph(n: int) -> Graph:
@@ -268,14 +253,14 @@ def star_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("star needs n >= 1")
     edges = [(0, v) for v in range(1, n)]
-    return Graph(n, edges, asserted_planar=True, is_tree_by_construction=True)
+    return Graph(n, edges, asserted_planar=True)
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
     edges = [(v, v + 1) for v in range(n - 1)]
-    return Graph(n, edges, asserted_planar=True, is_tree_by_construction=True)
+    return Graph(n, edges, asserted_planar=True)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -291,7 +276,7 @@ def hypercube_graph(d: int) -> Graph:
         raise ValueError("hypercube dimension must be nonnegative")
     n = 1 << d
     edges = [(x, x | (1 << i)) for x in range(n) for i in range(d) if not (x >> i) & 1]
-    return Graph(n, edges, asserted_planar=d <= 3, is_tree_by_construction=d <= 1)
+    return Graph(n, edges, asserted_planar=d <= 3)
 
 
 def petersen_graph() -> Graph:
@@ -305,11 +290,10 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree (random code sequence, smallest-leaf decode)."""
     if n < 1:
         raise ValueError("tree needs n >= 1")
-    flags = dict(asserted_planar=True, is_tree_by_construction=True)
     if n == 1:
-        return Graph(1, (), **flags)
+        return Graph(1, (), asserted_planar=True)
     if n == 2:
-        return Graph(2, [(0, 1)], **flags)
+        return Graph(2, [(0, 1)], asserted_planar=True)
     rng = random.Random(seed)
     code = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n
@@ -327,7 +311,7 @@ def random_tree(n: int, seed: int) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((min(u, v), max(u, v)))
-    return Graph(n, edges, **flags)
+    return Graph(n, edges, asserted_planar=True)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:

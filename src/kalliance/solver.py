@@ -42,6 +42,13 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Search effort, counted the same way on every machine.
+
+    ``subsets`` counts the complete sets tested. ``prunes`` counts the
+    partial sets cut, plus the siblings a tail rule skips from the one it
+    fired on.
+    """
+
     subsets: int
     prunes: int
     seconds: float
@@ -103,10 +110,10 @@ class _Search:
     A node is a chosen prefix ``mask`` whose members are all below ``pos``;
     ``need`` more vertices are still to come from ``pos..n-1``. ``cover`` is
     the union of the members' closed neighbourhoods and ``cover_t`` that of
-    their open ones. Every child is tested before it is entered, and with
-    pruning on it is cut when ``_prune`` proves that no completion is
-    feasible. Each rule below is sound on its own, so cutting never skips a
-    feasible set and the first hit of a size stays the lex-least one:
+    their open ones. Every child is tested before it is entered, and it is
+    cut when ``_prune`` proves that no completion is feasible. Each rule
+    below is sound on its own, so cutting never skips a feasible set and the
+    first hit of a size stays the lex-least one:
 
     - dominating, suffix cover: some vertex lies outside ``cover`` and
       outside the closed neighbourhood of every vertex still available;
@@ -147,6 +154,18 @@ class _Search:
       the largest suffix ``deg w + [req[w] <= 0]``, which bounds every
       ``c(w)``; the sum form with the sum of the ``need`` largest ``c(w)``
       over the suffix.
+
+    The same call is the leaf test: a complete set is a child with
+    ``need = 0``, and it is feasible exactly when no rule fires. With no
+    slots left every counting rule reads "demand > 0". The cover and count
+    rules of domination (total domination) fire iff some vertex is left
+    undominated (not totally dominated); ``defensive_member`` fires on any
+    deficit; and for the connected parameter, which the table always pairs
+    with domination, ``connected_reach`` or ``connected_count``
+    (``0 > 1 - C``) fires iff ``G[mask]`` has more than one component. On a
+    feasible set every deficit and the undominated count are 0, so no other
+    rule fires; the sum form is skipped at ``need = 0``, where the count
+    form already decides.
     """
 
     RULES = (
@@ -159,12 +178,11 @@ class _Search:
     # fails them too.
     TAIL_RULES = frozenset({"dominating_cover", "total_cover"})
 
-    def __init__(self, g: Graph, k: int, row: Parameter, pruning: bool):
+    def __init__(self, g: Graph, k: int, row: Parameter):
         n = g.n
         self.n = n
         self.adj = adj = g.adjacency_bits
         self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = row.demands
-        self.pruning = pruning
         self.full = (1 << n) - 1
         deg = g.degrees
         self.req = req = [(d + k + 1) // 2 for d in deg]
@@ -202,31 +220,26 @@ class _Search:
         needs ``need`` vertices, in lex order; return the first hit."""
         adj = self.adj
         need -= 1
-        if need == 0:
-            for v in range(start, stop):
-                b = 1 << v
-                counters[0] += 1
-                if self._complete_ok(mask | b, cover | b | adj[v], cover_t | adj[v]):
-                    return mask | b
-            return None
-        prune = self._prune if self.pruning else None
         child_stop = self.n - need + 1
         for v in range(start, stop):
             b = 1 << v
             a = adj[v]
             child = mask | b
             child_cover = cover | b | a
-            if prune is not None:
-                rule = prune(child, child_cover, cover_t | a, v + 1, need)
-                if rule is not None:
-                    if rule in self.TAIL_RULES:
-                        counters[1] += stop - v
-                        break
-                    counters[1] += 1
-                    continue
-            hit = self._extend(child, child_cover, cover_t | a, v + 1, child_stop, need, counters)
-            if hit is not None:
-                return hit
+            rule = self._prune(child, child_cover, cover_t | a, v + 1, need)
+            if rule in self.TAIL_RULES:
+                counters[1] += stop - v
+                break
+            if need == 0:
+                counters[0] += 1
+                if rule is None:
+                    return child
+            elif rule is not None:
+                counters[1] += 1
+            else:
+                hit = self._extend(child, child_cover, cover_t | a, v + 1, child_stop, need, counters)
+                if hit is not None:
+                    return hit
         return None
 
     def _prune(self, mask, cover, cover_t, pos, need) -> str | None:
@@ -267,7 +280,7 @@ class _Search:
                 demand = total + undominated
                 if demand > need * self.joint_slots[pos]:
                     return "joint_count"
-                if demand > self._joint_capacity(mask, deficient, short, pos, need):
+                if need and demand > self._joint_capacity(mask, deficient, short, pos, need):
                     return "joint_sum"
         if self.needs_conn:
             components = self._components(mask, self.suffix_all[pos])
@@ -293,25 +306,6 @@ class _Search:
             caps.append(c)
         caps.sort()
         return sum(caps[-need:])
-
-    def _complete_ok(self, mask, cover, cover_t) -> bool:
-        if self.needs_dom and cover != self.full:
-            return False
-        if self.needs_tot and cover_t != self.full:
-            return False
-        if self.needs_def:
-            adj = self.adj
-            req = self.req
-            m = mask
-            while m:
-                b = m & -m
-                m ^= b
-                v = b.bit_length() - 1
-                if (adj[v] & mask).bit_count() < req[v]:
-                    return False
-        if self.needs_conn and self._components(mask, 0) != 1:
-            return False
-        return True
 
     def _components(self, mask: int, outside: int) -> int:
         """Number of components of ``G[mask]`` when every member is reachable
@@ -352,17 +346,16 @@ def solve(
     parameter: str,
     k: int | None = None,
     *,
-    use_pruning: bool = True,
     max_n: int | None = None,
 ) -> SolveResult:
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
     error.
 
-    With pruning enabled the cardinality scan starts at the best applicable
-    lower bound for the parameter whose hypotheses the code verifies; this
-    only skips sizes no feasible set can have, so values and witnesses are
-    identical either way. A bound resting on a caller's assertion, such as
-    planarity, never sets the starting size.
+    The cardinality scan starts at the best applicable lower bound for the
+    parameter whose hypotheses the code verifies; this only skips sizes no
+    feasible set can have, so values and witnesses are those of a scan from
+    1. A bound resting on a caller's assertion, such as planarity, never
+    sets the starting size.
     """
     row = _validate_parameter(parameter, k)
     cap = _resolve_cap(max_n)
@@ -374,14 +367,14 @@ def solve(
     start = time.perf_counter()
     k_eff = k if k is not None else 0
     size_floor = 1
-    if use_pruning and parameter in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
+    if parameter in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
         reports = bounds_mod.lower_reports(g, k_eff, parameter)
         floor = bounds_mod.best_lower(
             [r for r in reports if r.name not in bounds_mod.ASSERTED_BOUNDS]
         )
         if floor is not None:
             size_floor = max(1, min(floor, g.n))
-    search = _Search(g, k_eff, row, use_pruning)
+    search = _Search(g, k_eff, row)
     subsets = prunes = 0
     for size in range(size_floor, g.n + 1):
         hit, s, p = search.run(size)

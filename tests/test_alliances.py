@@ -22,7 +22,7 @@ from kalliance.graphs import (
     petersen_graph,
     star_graph,
 )
-from kalliance.solver import _naive_feasible
+from kalliance.solver import _naive_feasible, _Search
 
 from .strategies import graphs, graphs_with_subset, small_k
 
@@ -164,11 +164,16 @@ def test_dominating_sets_certify_at_minus_max_degree(gs):
 @settings(max_examples=200)
 @given(graphs_with_subset(max_n=7), small_k())
 def test_parameter_table_verdicts_match_the_oracle(gs, k):
-    # certify and the predicates read each row's demands their own way; the
-    # oracle checks the same row's definitions with plain set arithmetic.
+    # certify, the predicates and the solver's leaf test (its prune rules
+    # with no slots left) read each row's demands their own way; the oracle
+    # checks the same row's definitions with plain set arithmetic.
     g, s = gs
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     members = set(s.members)
+    cover = cover_t = 0
+    for v in members:
+        cover |= (1 << v) | g.adjacency_bits[v]
+        cover_t |= g.adjacency_bits[v]
     for name, row in PARAMETERS.items():
         expected = _naive_feasible(nbrs, g.n, members, k, row.demands)
         if row.requirement is not None:
@@ -178,6 +183,8 @@ def test_parameter_table_verdicts_match_the_oracle(gs, k):
         else:
             got = is_dominating(g, s)
         assert got == expected, (name, g.edges, s.members, k)
+        leaf = _Search(g, k, row)._prune(s.bits, cover, cover_t, max(members) + 1, 0) is None
+        assert leaf == expected, (name, g.edges, s.members, k)
 
 
 @given(graphs_with_subset(max_n=7), small_k())

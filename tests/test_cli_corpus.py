@@ -78,21 +78,6 @@ def test_solve_reads_stdin(capsys, monkeypatch):
     assert json.loads(out)["value"] == 4
 
 
-def test_solve_flags_do_not_change_results(capsys, tmp_path):
-    path = tmp_path / "pet.el"
-    path.write_text(to_edge_list(generate("petersen")))
-    base = ["solve", "--graph", str(path), "--target", "gkca", "--k", "0"]
-    code, out, _ = run_cli(capsys, *base)
-    reference = json.loads(out)
-    code, out, _ = run_cli(capsys, *base, "--no-prune")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["value"], payload["witness"]) == (
-        reference["value"],
-        reference["witness"],
-    )
-
-
 def test_solve_nonexistence_status(capsys, tmp_path):
     path = tmp_path / "star.el"
     path.write_text(to_edge_list(generate("star", n=5)))

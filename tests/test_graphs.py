@@ -92,13 +92,6 @@ def test_planarity_assertion_rejects_dense_graph():
     assert complete_graph(4).asserted_planar
 
 
-def test_tree_flag_requires_tree_shape():
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1)], is_tree_by_construction=True)
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 2), (0, 2)], is_tree_by_construction=True)
-
-
 def test_content_hash_tracks_structure():
     assert path_graph(4).content_hash() == Graph(4, [(0, 1), (1, 2), (2, 3)]).content_hash()
     assert path_graph(4).content_hash() != cycle_graph(4).content_hash()
@@ -177,7 +170,7 @@ def test_cube_diameter():
 
 def test_star_is_complete_bipartite():
     assert star_graph(5) == complete_bipartite_graph(1, 4)
-    assert star_graph(5).is_tree_by_construction
+    assert is_tree(star_graph(5))
 
 
 def test_generate_dispatch_and_validation():
@@ -198,7 +191,6 @@ def test_random_tree_is_tree(seed):
         t = random_tree(n, seed)
         assert t.m == n - 1
         assert is_connected(t)
-        assert t.is_tree_by_construction
 
 
 @pytest.mark.parametrize("seed", range(4))

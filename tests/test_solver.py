@@ -123,14 +123,14 @@ def test_size_cap_and_overrides(monkeypatch):
         brute_force_oracle(big_star, PARAM_GAMMA)
 
 
-def test_results_identical_with_and_without_pruning():
+def test_solver_matches_oracle_on_petersen():
     pet = petersen_graph()
     for target, k in ((PARAM_GAMMA_K_A, 0), (PARAM_GAMMA_K_CA, -1), (PARAM_A_K, 1)):
-        reference = outcome(solve(pet, target, k))
+        reference = outcome(brute_force_oracle(pet, target, k))
         assert reference[0] == STATUS_FOUND
-        assert outcome(solve(pet, target, k, use_pruning=False)) == reference
+        assert outcome(solve(pet, target, k)) == reference
     for target in (PARAM_GAMMA, PARAM_GAMMA_T):
-        assert outcome(solve(pet, target, use_pruning=False)) == outcome(solve(pet, target))
+        assert outcome(solve(pet, target)) == outcome(brute_force_oracle(pet, target))
 
 
 def test_stats_are_populated():
@@ -253,14 +253,14 @@ def test_asserted_planarity_never_sets_the_search_floor():
     assert outcome(solve(g, PARAM_GAMMA_K_A, 4)) == expected
 
 
-def test_pruning_invariance_on_random_cubic():
+def test_solver_matches_oracle_on_small_random_cubic():
     cubic = [g for g in (random_cubic(12, s) for s in range(1, 10)) if is_connected(g)][:2]
     assert len(cubic) == 2
     for g in cubic:
         for target in K_PARAMETERS:
             for k in range(-3, 2):
-                pruned = outcome(solve(g, target, k))
-                assert outcome(solve(g, target, k, use_pruning=False)) == pruned
+                expected = outcome(brute_force_oracle(g, target, k))
+                assert outcome(solve(g, target, k)) == expected, (g.edges, target, k)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def test_connected_count_charges_each_extra_component():
     # has two components and leaves 5 and 6 undominated; two vertices from
     # 4..7 could dominate both, but cannot also join 0 to 3.
     g = cycle_graph(8)
-    search = _Search(g, -2, PARAMETERS[PARAM_GAMMA_K_CA], pruning=True)
+    search = _Search(g, -2, PARAMETERS[PARAM_GAMMA_K_CA])
     mask, cover, cover_t = _prefix_state(g, (0, 3))
     pos, need = 4, 2
     undominated = (search.full ^ cover).bit_count()
@@ -388,11 +388,11 @@ def test_prune_rule_never_cuts_the_oracle_witness(
 ):
     fired_below_optimum = 0
     for g, target, k, expected in oracle_cells + cubic_oracle_cells + sparse_oracle_cells:
-        if not expected.found or expected.value < 2:
+        if not expected.found:
             continue
-        search = _Search(g, 0 if k is None else k, PARAMETERS[target], pruning=True)
+        search = _Search(g, 0 if k is None else k, PARAMETERS[target])
         witness = expected.witness_members()
-        for i in range(1, len(witness)):
+        for i in range(1, len(witness) + 1):  # i = len(witness) is the leaf test
             need = len(witness) - i
             state = _prefix_state(g, witness[:i])
             assert search._prune(*state, witness[i - 1] + 1, need) != rule, (
