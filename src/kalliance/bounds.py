@@ -154,15 +154,17 @@ def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
     return BoundReport("line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
 
 
-def cubic_upper_2gamma(g: Graph) -> BoundReport:
+def cubic_upper_2gamma(g: Graph, gamma: int | None = None) -> BoundReport:
     """For 3-regular graphs: minimum global defensive (-1)-alliance is at
-    most twice the domination number."""
+    most twice the domination number. Pass ``gamma`` when it is known;
+    otherwise it is solved for."""
     anchor = "cubic: size at k=-1 <= 2 * domination number"
     if not is_cubic(g):
         return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, "not cubic")
-    from .solver import solve
+    if gamma is None:
+        from .solver import solve
 
-    gamma = solve(g, PARAM_GAMMA).value
+        gamma = solve(g, PARAM_GAMMA).value
     return BoundReport(
         "cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma, True
     )
@@ -361,20 +363,25 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
     return reports
 
 
-def upper_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
-    """Upper bounds for one target (only the global parameter has any)."""
+def upper_reports(
+    g: Graph, k: int, target: str, gamma: int | None = None
+) -> list[BoundReport]:
+    """Upper bounds for one target (only the global parameter has any);
+    ``gamma``, when known, is handed to ``cubic_upper_2gamma``."""
     _check_target(target)
     if target != PARAM_GAMMA_K_A:
         return []
     reports = [upper_min_degree(g.n, g.min_degree, k, g.max_degree)]
     if k == -1 and is_cubic(g):
-        reports.append(cubic_upper_2gamma(g))
+        reports.append(cubic_upper_2gamma(g, gamma))
     return reports
 
 
-def evaluate_all(g: Graph, k: int, target: str) -> list[BoundReport]:
+def evaluate_all(
+    g: Graph, k: int, target: str, gamma: int | None = None
+) -> list[BoundReport]:
     """Every catalogued bound for (g, k, target), applicable or not."""
-    return lower_reports(g, k, target) + upper_reports(g, k, target)
+    return lower_reports(g, k, target) + upper_reports(g, k, target, gamma)
 
 
 def best_lower(reports: list[BoundReport]) -> int | None:

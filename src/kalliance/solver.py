@@ -95,6 +95,19 @@ def _validate_parameter(parameter: str, k: int | None) -> Parameter:
     return row
 
 
+def requirements(g: Graph, k: int) -> tuple[int, ...]:
+    """Inside-degree each member of a defensive k-alliance needs,
+    ``ceil((deg v + k) / 2)``, clipped at 0.
+
+    k reaches the search only through this vector, and every rule treats a
+    requirement of 0 or less as none, so two k with equal vectors pose the
+    same problem: same value, same lex-least witness.
+    """
+    # From a list: ``tuple`` of a generator regrows its buffer, and that
+    # churn raised the peak RSS of a default-corpus certify by about 0.5 MB.
+    return tuple([max(0, (d + k + 1) // 2) for d in g.degrees])
+
+
 def _resolve_cap(max_n: int | None) -> int:
     if max_n is not None:
         return max_n
@@ -138,8 +151,9 @@ class _Search:
       this and counts ``C``; the plain count above, which is ``C = 1``,
       runs first because it needs no walk;
     - defensive, per member: a member ``v`` short of its required
-      inside-degree ``req[v] = ceil((deg v + k) / 2)`` gains at most one per
-      added vertex, and only from neighbours in the suffix;
+      inside-degree ``req[v]`` (``requirements``: ``ceil((deg v + k) / 2)``,
+      clipped at 0) gains at most one per added vertex, and only from
+      neighbours in the suffix;
     - defensive, total deficit: an added vertex ``w`` raises the
       inside-degree of at most ``deg w`` members, so ``need`` slots fill a
       total deficit of at most ``need`` times the largest suffix degree;
@@ -151,7 +165,7 @@ class _Search:
       so it meets at most ``c(w) = |N(w) & deficient| + [w undominated] +
       min(|N(w) & undominated|, deg w - max(m, req[w]))`` of both demands.
       The count form compares deficit plus undominated with ``need`` times
-      the largest suffix ``deg w + [req[w] <= 0]``, which bounds every
+      the largest suffix ``deg w + [req[w] = 0]``, which bounds every
       ``c(w)``; the sum form with the sum of the ``need`` largest ``c(w)``
       over the suffix.
 
@@ -185,7 +199,7 @@ class _Search:
         self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = row.demands
         self.full = (1 << n) - 1
         deg = g.degrees
-        self.req = req = [(d + k + 1) // 2 for d in deg]
+        self.req = req = requirements(g, k)
         suffix_all = [0] * (n + 1)
         suffix_dom = [0] * (n + 1)
         suffix_tot = [0] * (n + 1)
@@ -196,7 +210,7 @@ class _Search:
             suffix_dom[w] = suffix_dom[w + 1] | (1 << w) | adj[w]
             suffix_tot[w] = suffix_tot[w + 1] | adj[w]
             suffix_deg[w] = max(suffix_deg[w + 1], deg[w])
-            joint_slots[w] = max(joint_slots[w + 1], deg[w] + (req[w] <= 0))
+            joint_slots[w] = max(joint_slots[w + 1], deg[w] + (req[w] == 0))
         self.suffix_all = suffix_all
         self.suffix_dom = suffix_dom
         self.suffix_tot = suffix_tot
@@ -297,7 +311,7 @@ class _Search:
         for b, a, d, r in self.joint_items[pos:]:
             t = (a & short).bit_count()
             if b & short:  # no member next to w: nothing inside, no deficit
-                outside = d - r if r > 0 else d
+                outside = d - r
                 c = 1 + (t if t < outside else outside)
             else:
                 inside = (a & mask).bit_count()
@@ -448,12 +462,18 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
 
 def feasibility_profile(g: Graph) -> dict[int, dict[str, bool]]:
     """Existence flags for plain and global defensive k-alliances across the
-    meaningful k range (minus-max-degree to max-degree)."""
+    meaningful k range (minus-max-degree to max-degree). Each distinct
+    ``requirements(g, k)`` is solved once."""
     d_max = g.max_degree
+    flags_by_req: dict[tuple[int, ...], dict[str, bool]] = {}
     profile: dict[int, dict[str, bool]] = {}
     for k in range(-d_max, d_max + 1):
-        profile[k] = {
-            "exists_defensive": solve(g, PARAM_A_K, k).found,
-            "exists_global": solve(g, PARAM_GAMMA_K_A, k).found,
-        }
+        req = requirements(g, k)
+        flags = flags_by_req.get(req)
+        if flags is None:
+            flags = flags_by_req[req] = {
+                "exists_defensive": solve(g, PARAM_A_K, k).found,
+                "exists_global": solve(g, PARAM_GAMMA_K_A, k).found,
+            }
+        profile[k] = dict(flags)
     return profile

@@ -1,18 +1,25 @@
 import io
 import json
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, settings
 
+from kalliance import bounds, corpus, solver
+from kalliance.alliances import PARAM_A_K, PARAM_GAMMA_K_A, PARAMETERS
 from kalliance.cli import main
 from kalliance.corpus import (
     CorpusSpec,
     GraphSpec,
+    _certify_graph,
     default_corpus_spec,
     load_corpus_spec,
     run_corpus,
 )
-from kalliance.graphs import from_edge_list, generate, to_edge_list
-from kalliance.solver import solve
+from kalliance.graphs import Graph, from_edge_list, generate, random_cubic, to_edge_list
+from kalliance.solver import feasibility_profile, solve
+
+from .strategies import graphs
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +187,74 @@ def test_small_corpus_has_no_violations():
     assert result.checks_run["cubic_augment"] == 2  # K_4 and the random cubic graph
     assert result.checks_run["forest_identity"] == 50
     assert result.checks_run["shrink_samples"] == 25
+
+
+@dataclass(frozen=True)
+class DrawnGraphSpec(GraphSpec):
+    """A corpus entry for a graph that was drawn, not generated by family."""
+
+    graph: Graph | None = None
+
+    def build(self) -> Graph:
+        return self.graph
+
+
+K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
+
+
+@settings(max_examples=25)
+@given(graphs(min_n=1, max_n=7))
+@example(random_cubic(10, 1))
+@example(random_cubic(10, 2))
+def test_memoised_corpus_cells_match_fresh_solves(g):
+    spec = CorpusSpec(graphs=(), forest_identity_samples=0, shrink_samples=0)
+    outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g), spec)
+    for k in spec.k_range(g):
+        for target in K_TARGETS:
+            got, fresh = outcome.table[k][target], solve(g, target, k)
+            assert (got.k, got.status, got.value, got.witness_members()) == (
+                fresh.k, fresh.status, fresh.value, fresh.witness_members()
+            )
+    assert feasibility_profile(g) == {
+        k: {
+            "exists_defensive": solve(g, PARAM_A_K, k).found,
+            "exists_global": solve(g, PARAM_GAMMA_K_A, k).found,
+        }
+        for k in spec.k_range(g)
+    }
+
+
+def test_corpus_solves_each_distinct_problem_once(monkeypatch):
+    calls = []
+    real_solve = solver.solve
+
+    def counting_solve(g, parameter, k=None, **kwargs):
+        calls.append((parameter, k))
+        return real_solve(g, parameter, k, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counting_solve)
+    monkeypatch.setattr(corpus, "solve", counting_solve)
+    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),), shrink_samples=0)
+    assert run_corpus(spec).total_violations() == 0
+    # On a cubic graph k = -3..3 clip to four requirement vectors, one per
+    # pair (-2, -1), (0, 1), (2, 3) and k = -3; gamma is solved once and
+    # reused by the 2 * gamma bound.
+    per_target = [k for parameter, k in calls if parameter == PARAM_GAMMA_K_A]
+    assert per_target == [-3, -2, 0, 2]
+    assert len(calls) == 4 * len(K_TARGETS) + 2
+
+
+def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
+    monkeypatch.setattr(bounds, "parity_collapse", lambda g, k: k + 1)
+    spec = CorpusSpec(
+        graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")),
+        forest_identity_samples=0,
+        shrink_samples=0,
+    )
+    flagged = [v for v in run_corpus(spec).all_violations() if "parity-equivalent" in v]
+    # k = -2..1 on the path and k = -3, -1, 1 on the Petersen graph collapse
+    # onto a k in range with another requirement vector, for a_k and gamma_k_a.
+    assert len(flagged) == 14
 
 
 def test_corpus_csv_is_deterministic():
