@@ -110,7 +110,9 @@ class VertexSet:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.graph.n) if (self.bits >> v) & 1)
+        # From a list, as in ``solver.requirements``: a generator regrows the
+        # tuple's buffer.
+        return tuple([v for v in range(self.graph.n) if (self.bits >> v) & 1])
 
     def __len__(self) -> int:
         return self.bits.bit_count()

@@ -30,14 +30,10 @@ from .graphs import (
     is_tree,
     is_triangle_free,
 )
+from .solver import solve
 
 KIND_LOWER = "lower"
 KIND_UPPER = "upper"
-
-# Bounds whose hypothesis is the caller's planarity assertion, which the code
-# checks only through m <= 3(n - 2). They are reported, but an exact search
-# never starts from them.
-ASSERTED_BOUNDS = frozenset({"planar_graph_lower"})
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,6 @@ def cubic_upper_2gamma(g: Graph, gamma: int | None = None) -> BoundReport:
     if not is_cubic(g):
         return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, "not cubic")
     if gamma is None:
-        from .solver import solve
-
         gamma = solve(g, PARAM_GAMMA).value
     return BoundReport(
         "cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma, True

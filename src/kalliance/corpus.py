@@ -29,6 +29,7 @@ from .alliances import (
     cubic_augment_dominating,
     is_dominating,
     is_total_dominating,
+    shrink_to_lower_k,
 )
 from .graphs import (
     Graph,
@@ -145,9 +146,6 @@ class CertificationRecord:
     m: int
     k: int | None
     entries: list[RowEntry]
-
-    def violation_count(self) -> int:
-        return sum(len(e.violations) for e in self.entries)
 
 
 @dataclass
@@ -548,8 +546,6 @@ def _forest_identity_check(outcomes: list[_GraphOutcome], samples: int, rng) -> 
 
 
 def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> list[str]:
-    from .alliances import shrink_to_lower_k
-
     pool = [
         (o.graph, o.graph_id, k, s, w)
         for o in outcomes

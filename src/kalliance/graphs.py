@@ -119,11 +119,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range")
-        return self.degrees[v]
-
     def neighbors(self, v: int) -> frozenset[int]:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")

@@ -1,12 +1,12 @@
 """Exact minimum-cardinality solvers for the alliance and domination
 parameters, plus an independent brute-force oracle.
 
-``solve`` enumerates cardinalities from a sound lower bound upward; within a
-cardinality, subsets are visited in lexicographic order and the first
-feasible one wins, which pins the witness to the lexicographically least
-minimum-cardinality set. What a feasible set must meet comes from the
-parameter table, ``alliances.PARAMETERS``. The oracle shares no search code
-with ``solve``: it walks every nonempty subset with ``itertools.combinations``
+``solve`` scans cardinalities upward from 1; within a cardinality, subsets
+are visited in lexicographic order and the first feasible one wins, which
+pins the witness to the lexicographically least minimum-cardinality set.
+What a feasible set must meet comes from the parameter table,
+``alliances.PARAMETERS``. The oracle shares no search code with ``solve``:
+it walks every nonempty subset with ``itertools.combinations``
 and checks the table's demands with plain set arithmetic.
 """
 
@@ -17,11 +17,9 @@ import os
 import time
 from dataclasses import dataclass
 
-from . import bounds as bounds_mod
 from .alliances import (
     PARAM_A_K,
     PARAM_GAMMA_K_A,
-    PARAM_GAMMA_K_CA,
     Parameter,
     VertexSet,
     lookup_parameter,
@@ -365,11 +363,9 @@ def solve(
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
     error.
 
-    The cardinality scan starts at the best applicable lower bound for the
-    parameter whose hypotheses the code verifies; this only skips sizes no
-    feasible set can have, so values and witnesses are those of a scan from
-    1. A bound resting on a caller's assertion, such as planarity, never
-    sets the starting size.
+    Sizes are scanned from 1 upward, so the result depends only on the
+    graph, the parameter's demands and ``requirements(g, k)``. The bound
+    catalogue is checked against that result (``corpus``), never used by it.
     """
     row = _validate_parameter(parameter, k)
     cap = _resolve_cap(max_n)
@@ -379,18 +375,9 @@ def solve(
             "or pass max_n to override"
         )
     start = time.perf_counter()
-    k_eff = k if k is not None else 0
-    size_floor = 1
-    if parameter in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
-        reports = bounds_mod.lower_reports(g, k_eff, parameter)
-        floor = bounds_mod.best_lower(
-            [r for r in reports if r.name not in bounds_mod.ASSERTED_BOUNDS]
-        )
-        if floor is not None:
-            size_floor = max(1, min(floor, g.n))
-    search = _Search(g, k_eff, row)
+    search = _Search(g, k if k is not None else 0, row)
     subsets = prunes = 0
-    for size in range(size_floor, g.n + 1):
+    for size in range(1, g.n + 1):
         hit, s, p = search.run(size)
         subsets += s
         prunes += p

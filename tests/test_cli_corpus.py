@@ -1,6 +1,6 @@
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,14 @@ from kalliance.corpus import (
     load_corpus_spec,
     run_corpus,
 )
-from kalliance.graphs import Graph, from_edge_list, generate, random_cubic, to_edge_list
+from kalliance.graphs import (
+    Graph,
+    complete_graph,
+    from_edge_list,
+    generate,
+    random_cubic,
+    to_edge_list,
+)
 from kalliance.solver import feasibility_profile, solve
 
 from .strategies import graphs
@@ -206,14 +213,21 @@ K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
 @given(graphs(min_n=1, max_n=7))
 @example(random_cubic(10, 1))
 @example(random_cubic(10, 2))
+@example(complete_graph(4))
 def test_memoised_corpus_cells_match_fresh_solves(g):
     spec = CorpusSpec(graphs=(), forest_identity_samples=0, shrink_samples=0)
     outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g), spec)
     for k in spec.k_range(g):
         for target in K_TARGETS:
             got, fresh = outcome.table[k][target], solve(g, target, k)
-            assert (got.k, got.status, got.value, got.witness_members()) == (
-                fresh.k, fresh.status, fresh.value, fresh.witness_members()
+            # A reused cell carries the stats of the solve it reuses, so those
+            # equal a fresh solve's too.
+            assert (
+                got.k, got.status, got.value, got.witness_members(),
+                got.stats.subsets, got.stats.prunes,
+            ) == (
+                fresh.k, fresh.status, fresh.value, fresh.witness_members(),
+                fresh.stats.subsets, fresh.stats.prunes,
             )
     assert feasibility_profile(g) == {
         k: {
@@ -234,6 +248,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
 
     monkeypatch.setattr(solver, "solve", counting_solve)
     monkeypatch.setattr(corpus, "solve", counting_solve)
+    monkeypatch.setattr(bounds, "solve", counting_solve)
     spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),), shrink_samples=0)
     assert run_corpus(spec).total_violations() == 0
     # On a cubic graph k = -3..3 clip to four requirement vectors, one per
@@ -242,6 +257,36 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     per_target = [k for parameter, k in calls if parameter == PARAM_GAMMA_K_A]
     assert per_target == [-3, -2, 0, 2]
     assert len(calls) == 4 * len(K_TARGETS) + 2
+
+
+def _petersen_cells_and_violations():
+    spec = CorpusSpec(graphs=(), forest_identity_samples=0, shrink_samples=0)
+    outcome = _certify_graph(GraphSpec.of("petersen"), spec)
+    cells = {
+        (k, target): (res.status, res.value, res.witness_members())
+        for k, row in outcome.table.items()
+        for target, res in row.items()
+    }
+    violations = [v for r in outcome.records for e in r.entries for v in e.violations]
+    return cells, violations + outcome.extras
+
+
+def test_wrong_lower_bound_is_reported_and_never_changes_a_value(monkeypatch):
+    cells, violations = _petersen_cells_and_violations()
+    assert cells and not violations
+    real = bounds.lower_maxdeg
+
+    def one_too_high(n, d_max, k):
+        report = real(n, d_max, k)
+        return replace(report, value=report.value + 1) if report.applicable else report
+
+    monkeypatch.setattr(bounds, "lower_maxdeg", one_too_high)
+    wrong_cells, wrong_violations = _petersen_cells_and_violations()
+    assert wrong_cells == cells
+    # The Petersen graph's gamma_k_a attains lower_maxdeg at every k, so the
+    # raised bound is reported there; no other check may fire.
+    assert wrong_violations
+    assert all("below lower_maxdeg" in v for v in wrong_violations), wrong_violations
 
 
 def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
