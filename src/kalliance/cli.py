@@ -28,7 +28,7 @@ from .graphs import (
     to_edge_list,
 )
 from .known_values import run_known_value_checks
-from .solver import ResourceLimitError, brute_force_oracle, solve
+from .solver import ResourceLimitError, brute_force_oracle, k_range, solve
 
 _BY_ALIAS = {row.alias: row for row in PARAMETERS.values()}
 
@@ -57,10 +57,10 @@ def _emit_json(obj):
 
 
 def _warn_k_range(g: Graph, k: int):
-    d = g.max_degree
-    if not -d <= k <= d:
+    ks = k_range(g)
+    if k not in ks:
         print(
-            f"warning: k={k} is outside the degree range [{-d}, {d}]",
+            f"warning: k={k} is outside the degree range [{ks[0]}, {ks[-1]}]",
             file=sys.stderr,
         )
 
@@ -152,9 +152,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     g = _load_graph(args.graph)
-    d = g.max_degree
-    kmin = args.kmin if args.kmin is not None else -d
-    kmax = args.kmax if args.kmax is not None else d
+    ks = k_range(g)
     mismatches = []
 
     def compare(target, k):
@@ -171,7 +169,7 @@ def _cmd_oracle_check(args) -> int:
                 f"{slow.witness_members()}"
             )
 
-    for k in range(kmin, kmax + 1):
+    for k in ks:
         for target, row in PARAMETERS.items():
             if row.takes_k:
                 compare(target, k)
@@ -181,7 +179,7 @@ def _cmd_oracle_check(args) -> int:
     for line in mismatches:
         print(f"mismatch: {line}", file=sys.stderr)
     print(
-        f"oracle-check: {len(mismatches)} mismatches over k in [{kmin}, {kmax}]",
+        f"oracle-check: {len(mismatches)} mismatches over k in [{ks[0]}, {ks[-1]}]",
         file=sys.stderr,
     )
     return 1 if mismatches else 0
@@ -239,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle-check", help="compare the solver against the brute-force oracle")
     orc.add_argument("--graph", required=True)
-    orc.add_argument("--kmin", type=int)
-    orc.add_argument("--kmax", type=int)
     orc.set_defaults(func=_cmd_oracle_check)
 
     paper = sub.add_parser("paper-suite", help="run the curated known-value checks")

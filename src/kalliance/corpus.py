@@ -33,9 +33,9 @@ from .alliances import (
 )
 from .graphs import (
     Graph,
-    _FAMILY_PARAMS,
     connected_components_of,
     diameter,
+    family_params,
     generate,
     is_connected,
     is_cubic,
@@ -44,9 +44,11 @@ from .graphs import (
     random_cubic,
     random_graph,
 )
-from .solver import ResourceLimitError, SearchStats, SolveResult, requirements, solve
+from .solver import ResourceLimitError, SearchStats, SolveResult, k_range, requirements, solve
 
-DEGREE_RANGE_POLICY = "degree_range"
+FOREST_IDENTITY_SAMPLES = 1000
+SHRINK_SAMPLES = 200
+STATUS_RESOURCE = "resource_error"
 _SAMPLE_SEED = 94121
 
 
@@ -59,7 +61,7 @@ class GraphSpec:
 
     @classmethod
     def of(cls, family: str, **params) -> "GraphSpec":
-        order = _FAMILY_PARAMS.get(family, ())
+        order = family_params(family, params)
         return cls(family, tuple((name, params[name]) for name in order))
 
     def build(self) -> Graph:
@@ -75,52 +77,39 @@ class GraphSpec:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "GraphSpec":
+    def from_json_dict(cls, data) -> "GraphSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"a graph entry must be a JSON object, not {data!r}")
         params = {name: value for name, value in data.items() if name != "family"}
-        return cls.of(data["family"], **params)
+        for name, value in params.items():
+            # Every family parameter is an integer but the edge probability.
+            allowed = (int, float) if name == "p" else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ValueError(f"graph parameter {name!r} has the wrong type: {value!r}")
+        return cls.of(data.get("family"), **params)
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """Families, k policy, and targets for one certification run."""
+    """The graphs of one certification run. Every graph is certified for
+    all five parameters over its whole ``k_range``."""
 
     graphs: tuple[GraphSpec, ...]
-    k_policy: str | tuple[int, int] = DEGREE_RANGE_POLICY
-    targets: tuple[str, ...] = tuple(PARAMETERS)
-    constructive: bool = True
-    forest_identity_samples: int = 1000
-    shrink_samples: int = 200
-
-    def k_range(self, g: Graph) -> range:
-        if self.k_policy == DEGREE_RANGE_POLICY:
-            d = g.max_degree
-            return range(-d, d + 1)
-        kmin, kmax = self.k_policy
-        return range(kmin, kmax + 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "graphs": [gs.to_json_dict() for gs in self.graphs],
-            "k_policy": self.k_policy if isinstance(self.k_policy, str) else list(self.k_policy),
-            "targets": list(self.targets),
-            "constructive": self.constructive,
-            "forest_identity_samples": self.forest_identity_samples,
-            "shrink_samples": self.shrink_samples,
-        }
+        return {"graphs": [gs.to_json_dict() for gs in self.graphs]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "CorpusSpec":
-        policy = data.get("k_policy", DEGREE_RANGE_POLICY)
-        if isinstance(policy, list):
-            policy = (int(policy[0]), int(policy[1]))
-        return cls(
-            graphs=tuple(GraphSpec.from_json_dict(d) for d in data.get("graphs", [])),
-            k_policy=policy,
-            targets=tuple(data.get("targets", PARAMETERS)),
-            constructive=bool(data.get("constructive", True)),
-            forest_identity_samples=int(data.get("forest_identity_samples", 1000)),
-            shrink_samples=int(data.get("shrink_samples", 200)),
-        )
+    def from_json_dict(cls, data) -> "CorpusSpec":
+        if not isinstance(data, dict):
+            raise ValueError("a corpus spec must be a JSON object")
+        unknown = sorted(set(data) - {"graphs"})
+        if unknown:
+            raise ValueError(f"unknown corpus spec keys {unknown}; a spec has only 'graphs'")
+        graphs = data.get("graphs", [])
+        if not isinstance(graphs, list):
+            raise ValueError("'graphs' must be a JSON array")
+        return cls(graphs=tuple(GraphSpec.from_json_dict(d) for d in graphs))
 
 
 @dataclass
@@ -234,24 +223,19 @@ def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> 
     raise AssertionError("a global alliance always contains a dominating subset")
 
 
-def _gamma_a_at(table, k, gamma_value, kmin):
-    """gamma_k_a value with the below-range clamp: for k below the degree
-    range every dominating set qualifies, so the value equals gamma."""
-    if k < kmin:
-        return gamma_value
+def _gamma_a_at(table, k, gamma_value):
+    """gamma_k_a value at k <= max degree. ``table`` covers the whole degree
+    range, so a k it lacks lies below -max degree, where every dominating
+    set qualifies and the value equals gamma."""
     entry = table.get(k)
-    return None if entry is None else entry[PARAM_GAMMA_K_A].value
+    return gamma_value if entry is None else entry[PARAM_GAMMA_K_A].value
 
 
 @dataclass
 class _GraphOutcome:
-    spec: GraphSpec
     graph: Graph
     graph_id: str
-    ks: list[int]
     table: dict[int, dict[str, SolveResult]]
-    gamma: SolveResult
-    gamma_t: SolveResult
     records: list[CertificationRecord]
     extras: list[str]
     shrink_pool: list[tuple[int, VertexSet, VertexSet]]  # (k, witness, min dominating W)
@@ -264,15 +248,14 @@ def _solve_row(g: Graph, target: str, k: int | None = None) -> SolveResult:
     try:
         return solve(g, target, k)
     except ResourceLimitError:
-        return SolveResult(target, k, "resource_error", None, None, SearchStats(0, 0, 0.0))
+        return SolveResult(target, k, STATUS_RESOURCE, None, None, SearchStats(0, 0, 0.0))
 
 
-def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
+def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     g = gs.build()
     gid = f"{gs.label()}-{g.content_hash()}"
-    ks = list(spec.k_range(g))
-    want = set(spec.targets)
-    k_targets = [t for t, row in PARAMETERS.items() if row.takes_k and t in want]
+    ks = list(k_range(g))
+    k_targets = [t for t, row in PARAMETERS.items() if row.takes_k]
 
     # Cells of one target whose clipped requirement vectors agree are the
     # same problem: solve it once and relabel the result with each k.
@@ -340,17 +323,16 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
                         entry.violations.append(
                             f"{gid} k={k}: witness size {size} violates s^2 - k s - n >= 0"
                         )
-                    if k <= d_max:
-                        cap = (d_max - k) // 2
-                        members = set(res.witness.members)
-                        if any(
-                            g.degrees[v] - len(g.adjacency[v] & members) > cap
-                            for v in members
-                        ):
-                            entry.violations.append(
-                                f"{gid} k={k}: witness outside-degree exceeds "
-                                f"floor((d1 - k) / 2) = {cap}"
-                            )
+                    cap = (d_max - k) // 2
+                    members = set(res.witness.members)
+                    if any(
+                        g.degrees[v] - len(g.adjacency[v] & members) > cap
+                        for v in members
+                    ):
+                        entry.violations.append(
+                            f"{gid} k={k}: witness outside-degree exceeds "
+                            f"floor((d1 - k) / 2) = {cap}"
+                        )
                 if target == PARAM_GAMMA_K_CA and connected:
                     if diam > res.value + 1:
                         entry.violations.append(
@@ -364,40 +346,31 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
         return next(e for e in record.entries if e.target == target)
 
     def value_of(k: int, target: str):
-        res = table[k].get(target)
-        return res.value if res is not None and res.found else None
+        res = table[k][target]
+        return res.value if res.found else None
 
     # Cross-k identities.
-    has_gka = PARAM_GAMMA_K_A in want
-    has_ak = PARAM_A_K in want
-    has_gkca = PARAM_GAMMA_K_CA in want
     for k in ks:
-        if has_ak and has_gka:
-            ak, gka = value_of(k, PARAM_A_K), value_of(k, PARAM_GAMMA_K_A)
-            if ak is not None and gka is not None and gka < ak:
-                entry_for(k, PARAM_GAMMA_K_A).violations.append(
-                    f"{gid} k={k}: gamma_k_a {gka} below a_k {ak}"
-                )
-            if gka is not None and ak is None:
-                entry_for(k, PARAM_A_K).violations.append(
-                    f"{gid} k={k}: global alliance exists but plain alliance does not"
-                )
-        if has_gka and has_gkca:
-            gka, gkca = value_of(k, PARAM_GAMMA_K_A), value_of(k, PARAM_GAMMA_K_CA)
-            if gka is not None and gkca is not None and gkca < gka:
-                entry_for(k, PARAM_GAMMA_K_CA).violations.append(
-                    f"{gid} k={k}: gamma_k_ca {gkca} below gamma_k_a {gka}"
-                )
-        if has_gka and gamma.found:
-            gka = value_of(k, PARAM_GAMMA_K_A)
-            if gka is not None and gka < gamma.value:
-                entry_for(k, PARAM_GAMMA_K_A).violations.append(
-                    f"{gid} k={k}: gamma_k_a {gka} below gamma {gamma.value}"
-                )
+        ak, gka = value_of(k, PARAM_A_K), value_of(k, PARAM_GAMMA_K_A)
+        if ak is not None and gka is not None and gka < ak:
+            entry_for(k, PARAM_GAMMA_K_A).violations.append(
+                f"{gid} k={k}: gamma_k_a {gka} below a_k {ak}"
+            )
+        if gka is not None and ak is None:
+            entry_for(k, PARAM_A_K).violations.append(
+                f"{gid} k={k}: global alliance exists but plain alliance does not"
+            )
+        gkca = value_of(k, PARAM_GAMMA_K_CA)
+        if gka is not None and gkca is not None and gkca < gka:
+            entry_for(k, PARAM_GAMMA_K_CA).violations.append(
+                f"{gid} k={k}: gamma_k_ca {gkca} below gamma_k_a {gka}"
+            )
+        if gamma.found and gka is not None and gka < gamma.value:
+            entry_for(k, PARAM_GAMMA_K_A).violations.append(
+                f"{gid} k={k}: gamma_k_a {gka} below gamma {gamma.value}"
+            )
         if k + 1 in table:
             for target in (PARAM_A_K, PARAM_GAMMA_K_A):
-                if target not in want:
-                    continue
                 low, high = value_of(k, target), value_of(k + 1, target)
                 if high is not None and (low is None or low > high):
                     entry_for(k + 1, target).violations.append(
@@ -412,32 +385,33 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
             and requirements(g, collapsed) != requirements(g, k)
         ):
             for target in (PARAM_A_K, PARAM_GAMMA_K_A):
-                if target in want:
-                    entry_for(k, target).violations.append(
-                        f"{gid}: {target} differs between parity-equivalent "
-                        f"k={k} and k={collapsed}"
-                    )
+                entry_for(k, target).violations.append(
+                    f"{gid}: {target} differs between parity-equivalent "
+                    f"k={k} and k={collapsed}"
+                )
 
-    if has_gka and -d_max in table and gamma.found:
+    if gamma.found:
         low_end = value_of(-d_max, PARAM_GAMMA_K_A)
         if low_end != gamma.value:
             entry_for(-d_max, PARAM_GAMMA_K_A).violations.append(
                 f"{gid}: gamma_k_a at k=-{d_max} is {low_end}, gamma is {gamma.value}"
             )
 
-    if has_gka and d_max in table and not is_regular(g):
+    if not is_regular(g):
         if table[d_max][PARAM_GAMMA_K_A].found:
             entry_for(d_max, PARAM_GAMMA_K_A).violations.append(
                 f"{gid}: nonregular graph admits a global defensive {d_max}-alliance"
             )
-    if has_gka and is_regular(g) and g.n >= 2:
-        for k in (d_max - 1, d_max):
-            if k in table and value_of(k, PARAM_GAMMA_K_A) != g.n:
+    elif g.n >= 2:
+        # The top two k of the range; an edgeless graph's range is k = 0 alone.
+        for k in ks[-2:]:
+            res = table[k][PARAM_GAMMA_K_A]
+            if res.status != STATUS_RESOURCE and res.value != g.n:
                 entry_for(k, PARAM_GAMMA_K_A).violations.append(
                     f"{gid}: regular graph should have gamma_k_a = n at k={k}"
                 )
 
-    if cubic and has_gka and -1 in table:
+    if cubic:
         gka_m1 = value_of(-1, PARAM_GAMMA_K_A)
         if gamma_t.found and gka_m1 != gamma_t.value:
             entry_for(-1, PARAM_GAMMA_K_A).violations.append(
@@ -450,8 +424,7 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
 
     # The shrink trade: dropping r vertices may lower the level by 2r but
     # can save at most r vertices.
-    if has_gka and gamma.found:
-        kmin = ks[0] if ks else 0
+    if gamma.found:
         for k in ks:
             res = table[k][PARAM_GAMMA_K_A]
             if not res.found:
@@ -459,7 +432,7 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
             w = _min_dominating_subset(g, res.witness, gamma.witness)
             shrink_pool.append((k, res.witness, w))
             for r in range(0, res.value - len(w) + 1):
-                lowered = _gamma_a_at(table, k - 2 * r, gamma.value, kmin)
+                lowered = _gamma_a_at(table, k - 2 * r, gamma.value)
                 if lowered is None or lowered + r > res.value:
                     entry_for(k, PARAM_GAMMA_K_A).violations.append(
                         f"{gid} k={k} r={r}: shrink inequality fails "
@@ -467,56 +440,50 @@ def _certify_graph(gs: GraphSpec, spec: CorpusSpec) -> _GraphOutcome:
                     )
 
     # Per-graph rows for the domination parameters.
-    graph_entries = []
-    if PARAM_GAMMA in want:
-        graph_entries.append(RowEntry(PARAM_GAMMA, gamma.status, gamma.value, None, None))
-        if gamma.found and not is_dominating(g, gamma.witness):
-            graph_entries[-1].violations.append(f"{gid}: gamma witness does not dominate")
-    if PARAM_GAMMA_T in want:
-        entry = RowEntry(PARAM_GAMMA_T, gamma_t.status, gamma_t.value, None, None)
-        if gamma_t.found and not is_total_dominating(g, gamma_t.witness):
-            entry.violations.append(f"{gid}: gamma_t witness does not totally dominate")
-        if connected and g.n >= 3 and gamma_t.found and gamma_t.value > (2 * g.n) // 3:
-            entry.violations.append(
-                f"{gid}: gamma_t {gamma_t.value} exceeds floor(2n/3) = {(2 * g.n) // 3}"
-            )
-        graph_entries.append(entry)
-    if graph_entries:
-        records.append(CertificationRecord(gid, gs.family, g.n, g.m, None, graph_entries))
+    gamma_entry = RowEntry(PARAM_GAMMA, gamma.status, gamma.value, None, None)
+    if gamma.found and not is_dominating(g, gamma.witness):
+        gamma_entry.violations.append(f"{gid}: gamma witness does not dominate")
+    gamma_t_entry = RowEntry(PARAM_GAMMA_T, gamma_t.status, gamma_t.value, None, None)
+    if gamma_t.found and not is_total_dominating(g, gamma_t.witness):
+        gamma_t_entry.violations.append(f"{gid}: gamma_t witness does not totally dominate")
+    if connected and g.n >= 3 and gamma_t.found and gamma_t.value > (2 * g.n) // 3:
+        gamma_t_entry.violations.append(
+            f"{gid}: gamma_t {gamma_t.value} exceeds floor(2n/3) = {(2 * g.n) // 3}"
+        )
+    records.append(
+        CertificationRecord(gid, gs.family, g.n, g.m, None, [gamma_entry, gamma_t_entry])
+    )
 
     # Executable constructions.
     counts = {"upper_witness": 0, "cubic_augment": 0}
-    if spec.constructive:
-        for k in ks:
-            if k >= d_min:
-                break
-            counts["upper_witness"] += 1
-            try:
-                witness = construct_upper_witness(g, k)
-            except ConstructionInvariantError as exc:
-                extras.append(f"{gid} k={k}: upper witness construction failed: {exc}")
-                continue
-            expected = g.n - (d_min - k) // 2
-            if len(witness) != expected:
+    for k in ks:
+        if k >= d_min:
+            break
+        counts["upper_witness"] += 1
+        try:
+            witness = construct_upper_witness(g, k)
+        except ConstructionInvariantError as exc:
+            extras.append(f"{gid} k={k}: upper witness construction failed: {exc}")
+            continue
+        expected = g.n - (d_min - k) // 2
+        if len(witness) != expected:
+            extras.append(
+                f"{gid} k={k}: upper witness has size {len(witness)}, expected {expected}"
+            )
+    if cubic and gamma.found:
+        counts["cubic_augment"] += 1
+        try:
+            augmented = cubic_augment_dominating(g, gamma.witness)
+        except ConstructionInvariantError as exc:
+            extras.append(f"{gid}: cubic augmentation failed: {exc}")
+        else:
+            if len(augmented) > 2 * gamma.value:
                 extras.append(
-                    f"{gid} k={k}: upper witness has size {len(witness)}, expected {expected}"
+                    f"{gid}: cubic augmentation produced {len(augmented)} vertices, "
+                    f"more than 2*gamma={2 * gamma.value}"
                 )
-        if cubic and gamma.found:
-            counts["cubic_augment"] += 1
-            try:
-                augmented = cubic_augment_dominating(g, gamma.witness)
-            except ConstructionInvariantError as exc:
-                extras.append(f"{gid}: cubic augmentation failed: {exc}")
-            else:
-                if len(augmented) > 2 * gamma.value:
-                    extras.append(
-                        f"{gid}: cubic augmentation produced {len(augmented)} vertices, "
-                        f"more than 2*gamma={2 * gamma.value}"
-                    )
 
-    return _GraphOutcome(
-        gs, g, gid, ks, table, gamma, gamma_t, records, extras, shrink_pool, counts
-    )
+    return _GraphOutcome(g, gid, table, records, extras, shrink_pool, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +539,7 @@ def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> li
 
 def run_corpus(spec: CorpusSpec) -> CorpusResult:
     """Certify every corpus row; deterministic given the spec's seeds."""
-    outcomes = [_certify_graph(gs, spec) for gs in spec.graphs]
+    outcomes = [_certify_graph(gs) for gs in spec.graphs]
 
     records: list[CertificationRecord] = []
     extras: list[str] = []
@@ -585,11 +552,11 @@ def run_corpus(spec: CorpusSpec) -> CorpusResult:
 
     rng = random.Random(_SAMPLE_SEED)
     has_trees = any(is_tree(o.graph) for o in outcomes)
-    checks["forest_identity"] = spec.forest_identity_samples if has_trees else 0
-    extras.extend(_forest_identity_check(outcomes, spec.forest_identity_samples, rng))
+    checks["forest_identity"] = FOREST_IDENTITY_SAMPLES if has_trees else 0
+    extras.extend(_forest_identity_check(outcomes, FOREST_IDENTITY_SAMPLES, rng))
     has_pool = any(o.shrink_pool for o in outcomes)
-    checks["shrink_samples"] = spec.shrink_samples if has_pool else 0
-    extras.extend(_shrink_sample_check(outcomes, spec.shrink_samples, rng))
+    checks["shrink_samples"] = SHRINK_SAMPLES if has_pool else 0
+    extras.extend(_shrink_sample_check(outcomes, SHRINK_SAMPLES, rng))
     return CorpusResult(records, extras, checks)
 
 

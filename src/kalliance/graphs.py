@@ -363,9 +363,10 @@ _FAMILY_PARAMS = {
 }
 
 
-def generate(family: str, **params) -> Graph:
-    """Build a named graph family; rejects unknown families and stray parameters."""
-    if family not in _FAMILY_PARAMS:
+def family_params(family, params) -> tuple[str, ...]:
+    """The parameter names of ``family`` in order; raises ``ValueError`` for
+    an unknown family or a missing or unexpected parameter."""
+    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown graph family {family!r}")
     expected = _FAMILY_PARAMS[family]
     missing = [name for name in expected if name not in params]
@@ -375,6 +376,12 @@ def generate(family: str, **params) -> Graph:
             f"family {family!r} takes parameters {expected}; "
             f"missing {missing}, unexpected {extra}"
         )
+    return expected
+
+
+def generate(family: str, **params) -> Graph:
+    """Build a named graph family; rejects unknown families and stray parameters."""
+    family_params(family, params)
     builders = {
         "complete": lambda: complete_graph(params["n"]),
         "complete_bipartite": lambda: complete_bipartite_graph(params["a"], params["b"]),

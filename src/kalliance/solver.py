@@ -93,6 +93,14 @@ def _validate_parameter(parameter: str, k: int | None) -> Parameter:
     return row
 
 
+def k_range(g: Graph) -> range:
+    """The degree range of k, ``-max_degree..max_degree``. Below it every
+    dominating set is a global defensive k-alliance; above it there is no
+    defensive k-alliance at all."""
+    d = g.max_degree
+    return range(-d, d + 1)
+
+
 def requirements(g: Graph, k: int) -> tuple[int, ...]:
     """Inside-degree each member of a defensive k-alliance needs,
     ``ceil((deg v + k) / 2)``, clipped at 0.
@@ -448,13 +456,11 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
 
 
 def feasibility_profile(g: Graph) -> dict[int, dict[str, bool]]:
-    """Existence flags for plain and global defensive k-alliances across the
-    meaningful k range (minus-max-degree to max-degree). Each distinct
-    ``requirements(g, k)`` is solved once."""
-    d_max = g.max_degree
+    """Existence flags for plain and global defensive k-alliances across
+    ``k_range(g)``. Each distinct ``requirements(g, k)`` is solved once."""
     flags_by_req: dict[tuple[int, ...], dict[str, bool]] = {}
     profile: dict[int, dict[str, bool]] = {}
-    for k in range(-d_max, d_max + 1):
+    for k in k_range(g):
         req = requirements(g, k)
         flags = flags_by_req.get(req)
         if flags is None:

@@ -24,7 +24,7 @@ from kalliance.graphs import (
     random_cubic,
     to_edge_list,
 )
-from kalliance.solver import feasibility_profile, solve
+from kalliance.solver import feasibility_profile, k_range, solve
 
 from .strategies import graphs
 
@@ -43,8 +43,6 @@ SMALL_SPEC = CorpusSpec(
         GraphSpec.of("random_tree", n=7, seed=1),
         GraphSpec.of("random_cubic", n=6, seed=0),
     ),
-    forest_identity_samples=50,
-    shrink_samples=25,
 )
 
 
@@ -170,11 +168,9 @@ def test_bounds_with_set_certifies_and_adds_face_bound(capsys, tmp_path):
 def test_oracle_check_exits_clean(capsys, tmp_path):
     path = tmp_path / "pet.el"
     path.write_text(to_edge_list(generate("petersen")))
-    code, _, err = run_cli(
-        capsys, "oracle-check", "--graph", str(path), "--kmin", "-3", "--kmax", "3"
-    )
+    code, _, err = run_cli(capsys, "oracle-check", "--graph", str(path))
     assert code == 0
-    assert "0 mismatches" in err
+    assert "0 mismatches over k in [-3, 3]" in err
 
 
 def test_paper_suite_passes(capsys):
@@ -192,8 +188,8 @@ def test_small_corpus_has_no_violations():
     assert result.total_violations() == 0
     assert result.checks_run["upper_witness"] > 0
     assert result.checks_run["cubic_augment"] == 2  # K_4 and the random cubic graph
-    assert result.checks_run["forest_identity"] == 50
-    assert result.checks_run["shrink_samples"] == 25
+    assert result.checks_run["forest_identity"] == 1000
+    assert result.checks_run["shrink_samples"] == 200
 
 
 @dataclass(frozen=True)
@@ -215,9 +211,8 @@ K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
 @example(random_cubic(10, 2))
 @example(complete_graph(4))
 def test_memoised_corpus_cells_match_fresh_solves(g):
-    spec = CorpusSpec(graphs=(), forest_identity_samples=0, shrink_samples=0)
-    outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g), spec)
-    for k in spec.k_range(g):
+    outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
+    for k in k_range(g):
         for target in K_TARGETS:
             got, fresh = outcome.table[k][target], solve(g, target, k)
             # A reused cell carries the stats of the solve it reuses, so those
@@ -234,7 +229,7 @@ def test_memoised_corpus_cells_match_fresh_solves(g):
             "exists_defensive": solve(g, PARAM_A_K, k).found,
             "exists_global": solve(g, PARAM_GAMMA_K_A, k).found,
         }
-        for k in spec.k_range(g)
+        for k in k_range(g)
     }
 
 
@@ -249,7 +244,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     monkeypatch.setattr(solver, "solve", counting_solve)
     monkeypatch.setattr(corpus, "solve", counting_solve)
     monkeypatch.setattr(bounds, "solve", counting_solve)
-    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),), shrink_samples=0)
+    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
     assert run_corpus(spec).total_violations() == 0
     # On a cubic graph k = -3..3 clip to four requirement vectors, one per
     # pair (-2, -1), (0, 1), (2, 3) and k = -3; gamma is solved once and
@@ -260,8 +255,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
 
 
 def _petersen_cells_and_violations():
-    spec = CorpusSpec(graphs=(), forest_identity_samples=0, shrink_samples=0)
-    outcome = _certify_graph(GraphSpec.of("petersen"), spec)
+    outcome = _certify_graph(GraphSpec.of("petersen"))
     cells = {
         (k, target): (res.status, res.value, res.witness_members())
         for k, row in outcome.table.items()
@@ -291,11 +285,7 @@ def test_wrong_lower_bound_is_reported_and_never_changes_a_value(monkeypatch):
 
 def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
     monkeypatch.setattr(bounds, "parity_collapse", lambda g, k: k + 1)
-    spec = CorpusSpec(
-        graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")),
-        forest_identity_samples=0,
-        shrink_samples=0,
-    )
+    spec = CorpusSpec(graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")))
     flagged = [v for v in run_corpus(spec).all_violations() if "parity-equivalent" in v]
     # k = -2..1 on the path and k = -3, -1, 1 on the Petersen graph collapse
     # onto a k in range with another requirement vector, for a_k and gamma_k_a.
@@ -324,12 +314,7 @@ def test_empty_corpus_spec():
 
 
 def test_oversize_corpus_graph_is_recorded_not_fatal():
-    spec = CorpusSpec(
-        graphs=(GraphSpec.of("complete", n=30),),
-        k_policy=(0, 0),
-        forest_identity_samples=0,
-        shrink_samples=0,
-    )
+    spec = CorpusSpec(graphs=(GraphSpec.of("complete", n=30),))
     result = run_corpus(spec)
     assert result.total_violations() == 0
     statuses = {e.status for r in result.records for e in r.entries}
@@ -358,6 +343,29 @@ def test_certify_cli_default_corpus(capsys, tmp_path):
     assert code == 0
     assert "0 violations" in err
     assert csv_path.read_text().count("\n") > 1000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"graphs": [{"family": "random_cubic", "n": 8}]},
+        {"graphs": [{"n": 5}]},
+        [{"family": "cycle", "n": 5}],
+        {"graphs": [{"family": "cycle", "n": 5, "seed": 9}]},
+        {"graphs": [{"family": "cycle", "n": "5"}]},
+        {"graphs": [{"family": "petersen"}], "targets": ["gka"]},
+    ],
+    ids=[
+        "missing-param", "missing-family", "not-an-object", "stray-param", "wrong-type",
+        "unknown-key",
+    ],
+)
+def test_malformed_corpus_spec_is_usage_error(capsys, monkeypatch, spec):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(spec)))
+    code, out, err = run_cli(capsys, "certify", "--corpus", "-")
+    assert code == 2
+    assert "error:" in err
+    assert out == ""
 
 
 def test_certify_cli_empty_spec_stdin(capsys, monkeypatch):

@@ -10,6 +10,7 @@ from kalliance.alliances import (
     PARAM_GAMMA_K_CA,
     PARAM_GAMMA_T,
     PARAMETERS,
+    VertexSet,
     certify,
     is_dominating,
     is_total_dominating,
@@ -405,3 +406,43 @@ def test_prune_rule_never_cuts_the_oracle_witness(
                 if need > 1 and search._prune(*state, pos, need - 1) == rule:
                     fired_below_optimum += 1
     assert fired_below_optimum > 0
+
+
+def test_solver_matches_oracle_on_every_small_graph():
+    """Every graph on 1-6 vertices in the networkx atlas, all five parameters,
+    k from one below the degree range to one above it."""
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        Graph(h.number_of_nodes(), h.edges())
+        for h in nx.graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= 6
+    ]
+    cells = 0
+    for g in atlas:
+        for target, k in _cells(g):
+            expected = brute_force_oracle(g, target, k)
+            assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
+            cells += 1
+    # Both counts are fixed, so the sweep cannot shrink unnoticed.
+    assert (len(atlas), cells) == (208, 6476)
+
+
+def test_relabelling_keeps_values_beyond_the_oracle():
+    """n = 24 is past the oracle's cap: compare each graph with a random
+    relabelling of itself, and certify the witness mapped back."""
+    cubic = [g for g in (random_cubic(24, s) for s in range(20)) if is_connected(g)][:4]
+    assert len(cubic) == 4
+    for i, g in enumerate(cubic):
+        perm = list(range(g.n))
+        random.Random(i).shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        back = {perm[v]: v for v in range(g.n)}
+        for target in (PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
+            for k in (-1, 0):
+                original, relabelled = solve(g, target, k), solve(h, target, k)
+                assert relabelled.value == original.value, (i, target, k)
+                witness = VertexSet.from_vertices(
+                    g, [back[v] for v in relabelled.witness_members()]
+                )
+                assert len(witness) == relabelled.value
+                assert certify(g, witness, k, PARAMETERS[target].requirement).satisfied
