@@ -2,8 +2,8 @@
 corpus certification, solver-vs-oracle comparison, and the known-values
 suite.
 
-Exit codes: 0 success, 1 violations or mismatches found, 2 usage error,
-3 file or parse error.
+Exit codes: 0 success, 1 violations or mismatches found or corpus cells
+left unsolved, 2 usage error, 3 file or parse error.
 """
 
 from __future__ import annotations
@@ -139,15 +139,16 @@ def _cmd_certify(args) -> int:
     if args.json is not None:
         _write_text(args.json, json.dumps(result.to_json_dict(), indent=2) + "\n")
     total = result.total_violations()
+    unsolved = result.unsolved_cells()
     print(
         f"certified {len(spec.graphs)} graphs, {len(result.records)} records, "
-        f"{total} violations",
+        f"{total} violations, {unsolved} unsolved cells",
         file=sys.stderr,
     )
     if total:
         for message in result.all_violations()[:20]:
             print(f"violation: {message}", file=sys.stderr)
-    return 1 if total else 0
+    return 1 if total or unsolved else 0
 
 
 def _cmd_oracle_check(args) -> int:

@@ -154,6 +154,12 @@ class CorpusResult:
     def total_violations(self) -> int:
         return len(self.all_violations())
 
+    def unsolved_cells(self) -> int:
+        """Cells left at ``resource_error``: certified nothing."""
+        return sum(
+            entry.status == STATUS_RESOURCE for record in self.records for entry in record.entries
+        )
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("graph,family,n,m,k,target,status,value,best_lower,best_upper,violations\n")
@@ -203,23 +209,21 @@ class CorpusResult:
 # Per-graph certification
 # ---------------------------------------------------------------------------
 
-def _dominates(g: Graph, members) -> bool:
-    full = (1 << g.n) - 1
-    cover = 0
-    for v in members:
-        cover |= (1 << v) | g.adjacency_bits[v]
-    return cover == full
-
-
 def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> VertexSet:
-    """Smallest W inside s that dominates the whole graph (s itself does)."""
+    """Smallest W inside s that dominates the whole graph (s itself does);
+    the first in ``combinations`` order."""
     if len(s) == g.n:
         return gamma_witness
     pool = s.members
+    full = (1 << g.n) - 1
+    closed = [(1 << v) | g.adjacency_bits[v] for v in pool]
     for size in range(1, len(pool) + 1):
-        for combo in combinations(pool, size):
-            if _dominates(g, combo):
-                return VertexSet.from_vertices(g, combo)
+        for combo in combinations(range(len(pool)), size):
+            cover = 0
+            for i in combo:
+                cover |= closed[i]
+            if cover == full:
+                return VertexSet.from_vertices(g, [pool[i] for i in combo])
     raise AssertionError("a global alliance always contains a dominating subset")
 
 
@@ -513,6 +517,9 @@ def _forest_identity_check(outcomes: list[_GraphOutcome], samples: int, rng) -> 
 
 
 def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> list[str]:
+    """Draw ``samples`` (pool entry, r) pairs. ``shrink_to_lower_k`` is pure,
+    so each distinct draw is built and certified once and its verdict is
+    reported for every draw of it."""
     pool = [
         (o.graph, o.graph_id, k, s, w)
         for o in outcomes
@@ -520,20 +527,24 @@ def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> li
     ]
     if not pool:
         return []
+    verdicts: dict[tuple[int, int], str | None] = {}
     problems = []
     for i in range(samples):
-        g, gid, k, s, w = pool[rng.randrange(len(pool))]
+        index = rng.randrange(len(pool))
+        g, gid, k, s, w = pool[index]
         r = rng.randint(0, len(s) - len(w))
-        try:
-            shrunk = shrink_to_lower_k(g, s, k, w, r)
-        except ConstructionInvariantError as exc:
-            problems.append(f"shrink sample {i} on {gid} k={k} r={r}: {exc}")
-            continue
-        if len(shrunk) != len(s) - r:
-            problems.append(
-                f"shrink sample {i} on {gid} k={k} r={r}: size {len(shrunk)}, "
-                f"expected {len(s) - r}"
-            )
+        key = index, r
+        if key not in verdicts:
+            try:
+                size = len(shrink_to_lower_k(g, s, k, w, r))
+            except ConstructionInvariantError as exc:
+                verdicts[key] = str(exc)
+            else:
+                expected = len(s) - r
+                verdicts[key] = None if size == expected else f"size {size}, expected {expected}"
+        verdict = verdicts[key]
+        if verdict is not None:
+            problems.append(f"shrink sample {i} on {gid} k={k} r={r}: {verdict}")
     return problems
 
 

@@ -159,7 +159,16 @@ class _Search:
     - defensive, per member: a member ``v`` short of its required
       inside-degree ``req[v]`` (``requirements``: ``ceil((deg v + k) / 2)``,
       clipped at 0) gains at most one per added vertex, and only from
-      neighbours in the suffix;
+      neighbours in the suffix. A deficit ``d`` is met only if ``v``'s
+      ``d``-th largest neighbour, ``fill_by[v][d]``, is still available;
+      ``_prune`` reads the rule that way and keeps the smallest such fill
+      position of the node's deficient members. The children of an entered
+      node stop there: an older member ``u`` with deficit ``d`` is left short
+      by child ``w`` iff ``d > |N(u) & [w, n)|``, a count that only shrinks
+      as ``w`` grows, so once one child past the fill position fails, every
+      later sibling fails too. The skipped children count as prunes, as a
+      tail rule's do; leaf children are still each tested, so that both
+      counters keep their meaning;
     - defensive, total deficit: an added vertex ``w`` raises the
       inside-degree of at most ``deg w`` members, so ``need`` slots fill a
       total deficit of at most ``need`` times the largest suffix degree;
@@ -222,7 +231,21 @@ class _Search:
         self.suffix_tot = suffix_tot
         self.suffix_deg = suffix_deg
         self.joint_slots = joint_slots
-        self.joint_items = [(1 << w, adj[w], deg[w], req[w]) for w in range(n)]
+        if self.needs_def and self.needs_dom:  # read by the joint sum form only
+            self.joint_items = [(1 << w, adj[w], deg[w], req[w]) for w in range(n)]
+        # fill_by[v][d]: the d-th largest neighbour of v, or -1 when v has
+        # fewer than d; a deficit never exceeds req[v], so d stops there.
+        self.fill_by = fill_by = []
+        if self.needs_def:
+            for a, r in zip(adj, req):
+                row = [-1]
+                for _ in range(r):
+                    top = a.bit_length() - 1
+                    row.append(top)
+                    if a:
+                        a ^= 1 << top
+                fill_by.append(row)
+        self.fill = n  # smallest fill position of the last node _prune passed
         # Vertices one added vertex can newly dominate, at most.
         slack = -1 if self.needs_conn else 1
         self.dom_slots = [d + slack for d in suffix_deg]
@@ -257,9 +280,13 @@ class _Search:
             elif rule is not None:
                 counters[1] += 1
             else:
-                hit = self._extend(child, child_cover, cover_t | a, v + 1, child_stop, need, counters)
+                end = child_stop
+                if need > 1 and self.fill < end:  # children past the fill position fail
+                    end = self.fill + 1
+                hit = self._extend(child, child_cover, cover_t | a, v + 1, end, need, counters)
                 if hit is not None:
                     return hit
+                counters[1] += child_stop - end
         return None
 
     def _prune(self, mask, cover, cover_t, pos, need) -> str | None:
@@ -280,7 +307,8 @@ class _Search:
         if self.needs_def:
             adj = self.adj
             req = self.req
-            future = self.suffix_all[pos]
+            fill_by = self.fill_by
+            fill = self.n
             total = 0
             deficient = 0
             m = mask
@@ -290,10 +318,14 @@ class _Search:
                 m ^= b
                 deficit = req[v] - (adj[v] & mask).bit_count()
                 if deficit > 0:
-                    if deficit > need or deficit > (adj[v] & future).bit_count():
+                    f = fill_by[v][deficit]
+                    if deficit > need or f < pos:
                         return "defensive_member"
+                    if f < fill:
+                        fill = f
                     total += deficit
                     deficient |= b
+            self.fill = fill
             if total > need * self.suffix_deg[pos]:
                 return "defensive_total"
             if self.needs_dom:

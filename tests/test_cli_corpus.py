@@ -1,12 +1,18 @@
 import io
 import json
+import random
 from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
 
 from kalliance import bounds, corpus, solver
-from kalliance.alliances import PARAM_A_K, PARAM_GAMMA_K_A, PARAMETERS
+from kalliance.alliances import (
+    PARAM_A_K,
+    PARAM_GAMMA_K_A,
+    PARAMETERS,
+    ConstructionInvariantError,
+)
 from kalliance.cli import main
 from kalliance.corpus import (
     CorpusSpec,
@@ -319,6 +325,65 @@ def test_oversize_corpus_graph_is_recorded_not_fatal():
     assert result.total_violations() == 0
     statuses = {e.status for r in result.records for e in r.entries}
     assert statuses == {"resource_error"}
+
+
+def test_certify_cli_exits_1_when_cells_are_unsolved(capsys, tmp_path):
+    # K_30 is past the search cap: every cell is a resource_error, so the
+    # run certified nothing and must not report success.
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"graphs": [{"family": "complete", "n": 30}]}))
+    code, out, err = run_cli(capsys, "certify", "--corpus", str(spec_path))
+    assert code == 1
+    assert "0 violations, 179 unsolved cells" in err
+    assert out.count(",resource_error,") == 179
+
+
+def _shrink_draws(pool, samples, seed):
+    """The (pool index, r) pairs ``_shrink_sample_check`` draws."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(samples):
+        index = rng.randrange(len(pool))
+        _, s, w = pool[index]
+        draws.append((index, rng.randint(0, len(s) - len(w))))
+    return draws
+
+
+def test_shrink_samples_build_each_distinct_draw_once(monkeypatch):
+    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
+    outcome = _certify_graph(spec.graphs[0])
+    pool = outcome.shrink_pool
+    # The Petersen graph is not a tree, so the forest samples draw nothing
+    # and the shrink samples start from the corpus seed.
+    draws = _shrink_draws(pool, corpus.SHRINK_SAMPLES, corpus._SAMPLE_SEED)
+    real = corpus.shrink_to_lower_k
+    calls = []
+    failing_k, short_k = pool[0][0], pool[1][0]
+
+    def shrink(g, s, k, w, r):
+        calls.append((k, r))
+        if k == failing_k:
+            raise ConstructionInvariantError("forced failure")
+        result = real(g, s, k, w, r)
+        return s if k == short_k and r else result
+
+    monkeypatch.setattr(corpus, "shrink_to_lower_k", shrink)
+    result = run_corpus(spec)
+    assert result.checks_run["shrink_samples"] == 200
+    assert len(calls) == len(set(calls)) == len(set(draws)) < len(draws)
+    # Every draw of a failing entry is reported, in the sampling order.
+    expected = []
+    for i, (index, r) in enumerate(draws):
+        k, s, _ = pool[index]
+        if k == failing_k:
+            expected.append(f"shrink sample {i} on {outcome.graph_id} k={k} r={r}: forced failure")
+        elif k == short_k and r:
+            expected.append(
+                f"shrink sample {i} on {outcome.graph_id} k={k} r={r}: "
+                f"size {len(s)}, expected {len(s) - r}"
+            )
+    assert expected
+    assert result.extra_violations == expected
 
 
 def test_certify_cli_small_spec(capsys, tmp_path):

@@ -446,3 +446,43 @@ def test_relabelling_keeps_values_beyond_the_oracle():
                 )
                 assert len(witness) == relabelled.value
                 assert certify(g, witness, k, PARAMETERS[target].requirement).satisfied
+
+
+def test_fill_position_stop_skips_only_children_prune_cuts():
+    """At every entered node, each child past the fill position (a sibling
+    ``_extend`` never visits) must be cut by ``_prune``. Irregular seeded
+    graphs, the three defensive parameters, k over the degree range."""
+    checked = []
+
+    class Probe(_Search):
+        def _extend(self, mask, cover, cover_t, start, stop, need, counters):
+            card_stop = self.n - need + 1
+            # Leaf children are each tested: the stop leaves them alone.
+            assert need > 1 or stop == card_stop
+            for v in range(stop, card_stop):
+                child = mask | (1 << v)
+                a = self.adj[v]
+                rule = self._prune(child, cover | (1 << v) | a, cover_t | a, v + 1, need - 1)
+                assert rule is not None, (mask, v, need)
+                checked.append(rule)
+            return super()._extend(mask, cover, cover_t, start, stop, need, counters)
+
+    subsets = prunes = 0
+    for seed in range(24):
+        g = random_graph(8 + seed % 5, (0.3, 0.45, 0.6)[seed % 3], 500 + seed)
+        for target in (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
+            for k in range(-g.max_degree, g.max_degree + 1):
+                search = Probe(g, k, PARAMETERS[target])
+                for size in range(1, g.n + 1):
+                    hit, s, p = search.run(size)
+                    subsets, prunes = subsets + s, prunes + p
+                    if hit is not None:
+                        break
+                witness = None if hit is None else VertexSet(g, hit).members
+                assert witness == brute_force_oracle(g, target, k).witness_members()
+    # Both counters as they were before the stop: a skipped child counts as a
+    # prune, exactly as the cut it stands for.
+    assert (subsets, prunes) == (13023, 54393)
+    # The count is fixed, so the sample cannot shrink unnoticed.
+    assert len(checked) == 11919
+    assert "defensive_member" in checked
