@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .corpus import CorpusSpec, GraphSpec, default_corpus_spec, run_corpus
 from .graphs import (
-    DegreeSequence,
     Graph,
     ParseError,
     from_edge_list,
@@ -36,7 +35,6 @@ from .solver import (
     ResourceLimitError,
     SolveResult,
     brute_force_oracle,
-    feasibility_profile,
     solve,
 )
 
@@ -47,7 +45,6 @@ __all__ = [
     "BoundReport",
     "ConstructionInvariantError",
     "CorpusSpec",
-    "DegreeSequence",
     "Graph",
     "GraphSpec",
     "ParseError",
@@ -63,7 +60,6 @@ __all__ = [
     "cubic_augment_dominating",
     "default_corpus_spec",
     "evaluate_all",
-    "feasibility_profile",
     "from_edge_list",
     "generate",
     "is_defensive_k_alliance",

@@ -44,7 +44,15 @@ from .graphs import (
     random_cubic,
     random_graph,
 )
-from .solver import ResourceLimitError, SearchStats, SolveResult, k_range, requirements, solve
+from .solver import (
+    ResourceLimitError,
+    SearchStats,
+    SolveResult,
+    k_range,
+    problem,
+    requirements,
+    solve,
+)
 
 FOREST_IDENTITY_SAMPLES = 1000
 SHRINK_SAMPLES = 200
@@ -240,6 +248,7 @@ class _GraphOutcome:
     graph: Graph
     graph_id: str
     table: dict[int, dict[str, SolveResult]]
+    domination: dict[str, SolveResult]  # the gamma and gamma_t solves
     records: list[CertificationRecord]
     extras: list[str]
     shrink_pool: list[tuple[int, VertexSet, VertexSet]]  # (k, witness, min dominating W)
@@ -261,21 +270,22 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     ks = list(k_range(g))
     k_targets = [t for t, row in PARAMETERS.items() if row.takes_k]
 
-    # Cells of one target whose clipped requirement vectors agree are the
-    # same problem: solve it once and relabel the result with each k.
-    solved: dict[tuple[str, tuple[int, ...]], SolveResult] = {}
-    table: dict[int, dict[str, SolveResult]] = {}
-    for k in ks:
-        req = requirements(g, k)
-        table[k] = row = {}
-        for t in k_targets:
-            res = solved.get((t, req))
-            if res is None:
-                row[t] = solved[(t, req)] = _solve_row(g, t, k)
-            else:
-                row[t] = replace(res, k=k)
-    gamma = _solve_row(g, PARAM_GAMMA)
-    gamma_t = _solve_row(g, PARAM_GAMMA_T)
+    # Cells that pose the same problem (gamma is gamma_k_a at k = -max
+    # degree, and on a cubic graph gamma_t is gamma_k_a at k = -2 and -1)
+    # are solved once; a reused result is relabelled with each cell's name.
+    solved: dict[tuple, SolveResult] = {}
+
+    def cell(t: str, k: int | None = None) -> SolveResult:
+        key = problem(g, t, k)
+        res = solved.get(key)
+        if res is None:
+            res = solved[key] = _solve_row(g, t, k)
+            return res
+        return replace(res, parameter=t, k=k)
+
+    table = {k: {t: cell(t, k) for t in k_targets} for k in ks}
+    gamma = cell(PARAM_GAMMA)
+    gamma_t = cell(PARAM_GAMMA_T)
 
     records: list[CertificationRecord] = []
     extras: list[str] = []
@@ -394,13 +404,6 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                     f"k={k} and k={collapsed}"
                 )
 
-    if gamma.found:
-        low_end = value_of(-d_max, PARAM_GAMMA_K_A)
-        if low_end != gamma.value:
-            entry_for(-d_max, PARAM_GAMMA_K_A).violations.append(
-                f"{gid}: gamma_k_a at k=-{d_max} is {low_end}, gamma is {gamma.value}"
-            )
-
     if not is_regular(g):
         if table[d_max][PARAM_GAMMA_K_A].found:
             entry_for(d_max, PARAM_GAMMA_K_A).violations.append(
@@ -417,10 +420,6 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
 
     if cubic:
         gka_m1 = value_of(-1, PARAM_GAMMA_K_A)
-        if gamma_t.found and gka_m1 != gamma_t.value:
-            entry_for(-1, PARAM_GAMMA_K_A).violations.append(
-                f"{gid}: cubic identity gamma_k_a(-1)={gka_m1} != gamma_t={gamma_t.value}"
-            )
         if gamma.found and gka_m1 is not None and gka_m1 > 2 * gamma.value:
             entry_for(-1, PARAM_GAMMA_K_A).violations.append(
                 f"{gid}: cubic bound gamma_k_a(-1)={gka_m1} exceeds 2*gamma={2 * gamma.value}"
@@ -487,7 +486,8 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                     f"more than 2*gamma={2 * gamma.value}"
                 )
 
-    return _GraphOutcome(g, gid, table, records, extras, shrink_pool, counts)
+    domination = {PARAM_GAMMA: gamma, PARAM_GAMMA_T: gamma_t}
+    return _GraphOutcome(g, gid, table, domination, records, extras, shrink_pool, counts)
 
 
 # ---------------------------------------------------------------------------

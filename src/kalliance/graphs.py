@@ -11,33 +11,11 @@ import hashlib
 import heapq
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Iterable
 
 
 class ParseError(ValueError):
     """Malformed edge-list document; the message names the offending line."""
-
-
-@dataclass(frozen=True)
-class DegreeSequence:
-    """Vertex degrees in nonincreasing order."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("degree sequence of an empty graph")
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("degree sequence must be nonincreasing")
-
-    @property
-    def largest(self) -> int:
-        return self.values[0]
-
-    @property
-    def smallest(self) -> int:
-        return self.values[-1]
 
 
 class Graph:
@@ -123,9 +101,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
         return self.adjacency[v]
-
-    def degree_sequence(self) -> DegreeSequence:
-        return DegreeSequence(tuple(sorted(self.degrees, reverse=True)))
 
     @property
     def max_degree(self) -> int:

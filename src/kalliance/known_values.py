@@ -194,13 +194,15 @@ def run_known_value_checks() -> list[CheckResult]:
     gamma_witness = solve(q3, PARAM_GAMMA).witness
     augmented = cubic_augment_dominating(q3, gamma_witness)
     results.append(_check("cube dominating-set augmentation size", len(augmented), 4))
+    # On a cubic graph gamma_k_a at k=-1 poses gamma_t's problem, so it is
+    # compared with the published gamma_t, 4 for both graphs.
     results.append(
         _check("cubic identity on cube: k=-1 value equals gamma_t",
-               solve(q3, PARAM_GAMMA_K_A, -1).value, solve(q3, PARAM_GAMMA_T).value)
+               solve(q3, PARAM_GAMMA_K_A, -1).value, 4)
     )
     results.append(
         _check("cubic identity on petersen: k=-1 value equals gamma_t",
-               solve(pet, PARAM_GAMMA_K_A, -1).value, solve(pet, PARAM_GAMMA_T).value)
+               solve(pet, PARAM_GAMMA_K_A, -1).value, 4)
     )
 
     # --- construction matching the complete-graph closed form ---------------

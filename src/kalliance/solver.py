@@ -4,10 +4,13 @@ parameters, plus an independent brute-force oracle.
 ``solve`` scans cardinalities upward from 1; within a cardinality, subsets
 are visited in lexicographic order and the first feasible one wins, which
 pins the witness to the lexicographically least minimum-cardinality set.
-What a feasible set must meet comes from the parameter table,
-``alliances.PARAMETERS``. The oracle shares no search code with ``solve``:
-it walks every nonempty subset with ``itertools.combinations``
-and checks the table's demands with plain set arithmetic.
+What a feasible set must meet is one ``problem``: whether it must dominate,
+whether it must be connected, and how many inside neighbours each member
+needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
+that way; total domination is the dominating problem in which each member
+needs one. The oracle shares no search code with ``solve``: it walks every
+nonempty subset with ``itertools.combinations`` and checks the table's
+demands, total domination included, with plain set arithmetic.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .alliances import (
-    PARAM_A_K,
-    PARAM_GAMMA_K_A,
-    Parameter,
-    VertexSet,
-    lookup_parameter,
-)
+from .alliances import Parameter, VertexSet, lookup_parameter
 from .graphs import Graph
 
 STATUS_FOUND = "found"
@@ -114,6 +111,20 @@ def requirements(g: Graph, k: int) -> tuple[int, ...]:
     return tuple([max(0, (d + k + 1) // 2) for d in g.degrees])
 
 
+def problem(g: Graph, parameter: str, k: int | None = None) -> tuple[bool, bool, tuple[int, ...]]:
+    """What a solve of ``parameter`` poses: ``(dominating, connected, req)``,
+    where every member ``v`` needs ``req[v]`` neighbours inside the set.
+
+    A defensive row takes ``requirements(g, k)``. gamma is the dominating
+    problem with ``req = 0``; gamma_t the one with ``req = 1``, since a
+    member then needs an inside neighbour and a non-member has one by
+    domination. Equal problems have the same value and lex-least witness.
+    """
+    row = _validate_parameter(parameter, k)
+    req = requirements(g, k) if row.defensive else (int(row.total),) * g.n
+    return row.dominating or row.total, row.connected, req
+
+
 def _resolve_cap(max_n: int | None) -> int:
     if max_n is not None:
         return max_n
@@ -126,7 +137,8 @@ def _resolve_cap(max_n: int | None) -> int:
 class _Search:
     """Fixed-cardinality lexicographic subset search with sound pruning.
 
-    A node is a chosen prefix ``mask`` whose members are all below ``pos``;
+    It searches one ``problem``: ``(dominating, connected, req)``. A node is
+    a chosen prefix ``mask`` whose members are all below ``pos``;
     ``need`` more vertices are still to come from ``pos..n-1``. ``cover`` is
     the union of the members' closed neighbourhoods and ``cover_t`` that of
     their open ones. Every child is tested before it is entered, and it is
@@ -134,13 +146,21 @@ class _Search:
     below is sound on its own, so cutting never skips a feasible set and the
     first hit of a size stays the lex-least one:
 
+    - R1, suffix cover and counting: on a dominating problem every vertex of
+      ``R1 = {v : req[v] >= 1}`` ends with a neighbour in the set, since a
+      member needs ``req[v]`` of them inside and a non-member is dominated.
+      So an R1 vertex outside ``cover_t`` and outside the open
+      neighbourhood of every vertex still available is a cut, and ``need``
+      slots reach at most ``need`` times the largest suffix ``deg w`` new R1
+      vertices. These run first. At ``req = 1`` (gamma_t) no domination rule
+      can fire once they pass, while ``dominating_count`` can fire on a child
+      that ``total_cover``, a tail rule, would cut with all its later
+      siblings;
     - dominating, suffix cover: some vertex lies outside ``cover`` and
       outside the closed neighbourhood of every vertex still available;
     - dominating, counting: each added vertex ``w`` newly dominates at most
       ``deg w + 1`` vertices, so ``need`` slots cover at most ``need`` times
       the largest such count over the suffix;
-    - total dominating, suffix cover and counting: the same with open
-      neighbourhoods and ``deg w``;
     - connected, counting: order a connected completion ``S = mask | A``
       breadth-first in ``G[S]`` from its lowest member, so that each vertex
       after the first has an earlier neighbour; each added vertex is then
@@ -157,9 +177,8 @@ class _Search:
       this and counts ``C``; the plain count above, which is ``C = 1``,
       runs first because it needs no walk;
     - defensive, per member: a member ``v`` short of its required
-      inside-degree ``req[v]`` (``requirements``: ``ceil((deg v + k) / 2)``,
-      clipped at 0) gains at most one per added vertex, and only from
-      neighbours in the suffix. A deficit ``d`` is met only if ``v``'s
+      inside-degree ``req[v]`` gains at most one per added vertex, and only
+      from neighbours in the suffix. A deficit ``d`` is met only if ``v``'s
       ``d``-th largest neighbour, ``fill_by[v][d]``, is still available;
       ``_prune`` reads the rule that way and keeps the smallest such fill
       position of the node's deficient members. The children of an entered
@@ -184,17 +203,23 @@ class _Search:
       ``c(w)``; the sum form with the sum of the ``need`` largest ``c(w)``
       over the suffix.
 
+    The defensive and joint rules run on a dominating problem only when some
+    ``req[v] >= 2``, and on a non-dominating one (``a_k``) when some
+    ``req[v] >= 1``. Below that they are implied: at ``req[v] <= 1`` a
+    member's deficit is 1 exactly when it is an R1 vertex with no neighbour
+    in the set, which the R1 rules already decide.
+
     The same call is the leaf test: a complete set is a child with
     ``need = 0``, and it is feasible exactly when no rule fires. With no
     slots left every counting rule reads "demand > 0". The cover and count
-    rules of domination (total domination) fire iff some vertex is left
-    undominated (not totally dominated); ``defensive_member`` fires on any
-    deficit; and for the connected parameter, which the table always pairs
-    with domination, ``connected_reach`` or ``connected_count``
-    (``0 > 1 - C``) fires iff ``G[mask]`` has more than one component. On a
-    feasible set every deficit and the undominated count are 0, so no other
-    rule fires; the sum form is skipped at ``need = 0``, where the count
-    form already decides.
+    rules of domination (R1) fire iff some vertex is left undominated (some
+    R1 vertex has no neighbour in the set); ``defensive_member`` fires on
+    any deficit; and on a connected problem, which is always dominating,
+    ``connected_reach`` or ``connected_count`` (``0 > 1 - C``) fires iff
+    ``G[mask]`` has more than one component. On a feasible set every
+    deficit and the undominated count are 0, so no other rule fires; the
+    sum form is skipped at ``need = 0``, where the count form already
+    decides.
     """
 
     RULES = (
@@ -203,18 +228,22 @@ class _Search:
         "joint_count", "joint_sum",
     )
     # A child ``v`` fails these exactly when ``cover`` (``cover_t``) and the
-    # neighbourhoods of ``v..n-1`` miss a vertex, so every later sibling
-    # fails them too.
+    # neighbourhoods of ``v..n-1`` miss a vertex (an R1 vertex), so every
+    # later sibling fails them too.
     TAIL_RULES = frozenset({"dominating_cover", "total_cover"})
 
-    def __init__(self, g: Graph, k: int, row: Parameter):
+    def __init__(self, g: Graph, problem: tuple[bool, bool, tuple[int, ...]]):
         n = g.n
         self.n = n
         self.adj = adj = g.adjacency_bits
-        self.needs_def, self.needs_dom, self.needs_tot, self.needs_conn = row.demands
+        self.needs_dom, self.needs_conn, req = problem
+        self.req = req
+        most = max(req, default=0)
+        self.needs_def = most >= 2 if self.needs_dom else most >= 1
+        # R1: the vertices a dominating problem must totally dominate.
+        self.r1 = sum(1 << v for v in range(n) if req[v]) if self.needs_dom else 0
         self.full = (1 << n) - 1
         deg = g.degrees
-        self.req = req = requirements(g, k)
         suffix_all = [0] * (n + 1)
         suffix_dom = [0] * (n + 1)
         suffix_tot = [0] * (n + 1)
@@ -292,6 +321,12 @@ class _Search:
     def _prune(self, mask, cover, cover_t, pos, need) -> str | None:
         """Name of a rule proving that no ``need`` vertices from
         ``pos..n-1`` complete ``mask``, or None."""
+        r1 = self.r1
+        if r1:
+            if (cover_t | self.suffix_tot[pos]) & r1 != r1:
+                return "total_cover"
+            if (r1 & ~cover_t).bit_count() > need * self.suffix_deg[pos]:
+                return "total_count"
         if self.needs_dom:
             if (cover | self.suffix_dom[pos]) != self.full:
                 return "dominating_cover"
@@ -299,11 +334,6 @@ class _Search:
             undominated = short.bit_count()
             if undominated > need * self.dom_slots[pos]:
                 return self.dom_count_rule
-        if self.needs_tot:
-            if (cover_t | self.suffix_tot[pos]) != self.full:
-                return "total_cover"
-            if (self.full ^ cover_t).bit_count() > need * self.suffix_deg[pos]:
-                return "total_count"
         if self.needs_def:
             adj = self.adj
             req = self.req
@@ -404,10 +434,10 @@ def solve(
     error.
 
     Sizes are scanned from 1 upward, so the result depends only on the
-    graph, the parameter's demands and ``requirements(g, k)``. The bound
+    graph and ``problem(g, parameter, k)``. The bound
     catalogue is checked against that result (``corpus``), never used by it.
     """
-    row = _validate_parameter(parameter, k)
+    posed = problem(g, parameter, k)
     cap = _resolve_cap(max_n)
     if g.n > cap:
         raise ResourceLimitError(
@@ -415,7 +445,7 @@ def solve(
             "or pass max_n to override"
         )
     start = time.perf_counter()
-    search = _Search(g, k if k is not None else 0, row)
+    search = _Search(g, posed)
     subsets = prunes = 0
     for size in range(1, g.n + 1):
         hit, s, p = search.run(size)
@@ -486,19 +516,3 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
     stats = SearchStats(examined, 0, time.perf_counter() - start)
     return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
 
-
-def feasibility_profile(g: Graph) -> dict[int, dict[str, bool]]:
-    """Existence flags for plain and global defensive k-alliances across
-    ``k_range(g)``. Each distinct ``requirements(g, k)`` is solved once."""
-    flags_by_req: dict[tuple[int, ...], dict[str, bool]] = {}
-    profile: dict[int, dict[str, bool]] = {}
-    for k in k_range(g):
-        req = requirements(g, k)
-        flags = flags_by_req.get(req)
-        if flags is None:
-            flags = flags_by_req[req] = {
-                "exists_defensive": solve(g, PARAM_A_K, k).found,
-                "exists_global": solve(g, PARAM_GAMMA_K_A, k).found,
-            }
-        profile[k] = dict(flags)
-    return profile

@@ -22,7 +22,7 @@ from kalliance.graphs import (
     petersen_graph,
     star_graph,
 )
-from kalliance.solver import _naive_feasible, _Search
+from kalliance.solver import _naive_feasible, _Search, problem
 
 from .strategies import graphs, graphs_with_subset, small_k
 
@@ -183,7 +183,8 @@ def test_parameter_table_verdicts_match_the_oracle(gs, k):
         else:
             got = is_dominating(g, s)
         assert got == expected, (name, g.edges, s.members, k)
-        leaf = _Search(g, k, row)._prune(s.bits, cover, cover_t, max(members) + 1, 0) is None
+        search = _Search(g, problem(g, name, k if row.takes_k else None))
+        leaf = search._prune(s.bits, cover, cover_t, max(members) + 1, 0) is None
         assert leaf == expected, (name, g.edges, s.members, k)
 
 

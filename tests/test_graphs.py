@@ -291,6 +291,3 @@ def test_induced_subgraph_of_everything_is_identity(g):
 @given(graphs(max_n=8))
 def test_degree_sum_is_twice_edges(g):
     assert sum(g.degrees) == 2 * g.m
-    seq = g.degree_sequence()
-    assert seq.largest == max(g.degrees)
-    assert seq.smallest == min(g.degrees)

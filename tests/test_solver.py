@@ -22,6 +22,7 @@ from kalliance.graphs import (
     cycle_graph,
     hypercube_graph,
     is_connected,
+    path_graph,
     petersen_graph,
     random_cubic,
     random_graph,
@@ -33,11 +34,11 @@ from kalliance.solver import (
     ResourceLimitError,
     _Search,
     brute_force_oracle,
-    feasibility_profile,
+    problem,
     solve,
 )
 
-from .strategies import graphs
+from .strategies import graphs, regular_graphs
 
 Q3 = hypercube_graph(3)
 K_PARAMETERS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
@@ -101,6 +102,40 @@ def test_gamma_t_none_on_isolated_vertex():
 
 
 # ---------------------------------------------------------------------------
+# One problem per solve
+# ---------------------------------------------------------------------------
+
+@given(graphs(min_n=1, max_n=8))
+def test_gamma_is_the_global_alliance_problem_at_minus_max_degree(g):
+    assert problem(g, PARAM_GAMMA_K_A, -g.max_degree) == problem(g, PARAM_GAMMA)
+
+
+@given(regular_graphs())
+def test_gamma_t_is_the_global_alliance_problem_just_above_minus_degree(g):
+    # On a d-regular graph every member needs ceil(1/2) = ceil(2/2) = 1
+    # inside neighbour at k = 1 - d and k = 2 - d.
+    d = g.max_degree
+    assert d >= 1 and d == g.min_degree
+    for k in (1 - d, 2 - d):
+        assert problem(g, PARAM_GAMMA_K_A, k) == problem(g, PARAM_GAMMA_T)
+
+
+@pytest.mark.parametrize("n", (30, 45, 60))
+def test_paths_and_cycles_meet_their_closed_forms(n):
+    """Past the oracle's cap: gamma = ceil(n/3) and gamma_t = floor(n/2) +
+    ceil(n/4) - floor(n/4) on paths and cycles; on a cycle gamma_k_a is
+    gamma at k = -2, gamma_t at k = -1 and 0, and n at k = 1 and 2."""
+    gamma, gamma_t = -(-n // 3), n // 2 + -(-n // 4) - n // 4
+    for g in (path_graph(n), cycle_graph(n)):
+        assert solve(g, PARAM_GAMMA, max_n=64).value == gamma
+        assert solve(g, PARAM_GAMMA_T, max_n=64).value == gamma_t
+    cycle = cycle_graph(n)
+    expected = {-2: gamma, -1: gamma_t, 0: gamma_t, 1: n, 2: n}
+    for k, value in expected.items():
+        assert solve(cycle, PARAM_GAMMA_K_A, k, max_n=64).value == value, k
+
+
+# ---------------------------------------------------------------------------
 # Contracts
 # ---------------------------------------------------------------------------
 
@@ -152,18 +187,14 @@ def test_json_shape():
     assert "k" not in plain
 
 
-def test_feasibility_profile_star():
-    profile = feasibility_profile(star_graph(5))
-    assert set(profile) == set(range(-4, 5))
-    for k in (2, 3, 4):
-        assert not profile[k]["exists_defensive"]
-        assert not profile[k]["exists_global"]
-    assert profile[-4]["exists_defensive"] and profile[-4]["exists_global"]
+def test_star_admits_both_alliances_at_the_bottom_of_the_range():
+    # Their nonexistence at k = 2, 3, 4 is acceptance check C6.
+    star = star_graph(5)
+    assert solve(star, PARAM_A_K, -4).found
+    assert solve(star, PARAM_GAMMA_K_A, -4).found
 
 
-def test_feasibility_profile_regular_top():
-    profile = feasibility_profile(cycle_graph(5))
-    assert profile[2]["exists_global"]
+def test_cycle_top_level_global_alliance_is_the_whole_graph():
     assert solve(cycle_graph(5), PARAM_GAMMA_K_A, 2).value == 5
 
 
@@ -365,7 +396,7 @@ def test_connected_count_charges_each_extra_component():
     # has two components and leaves 5 and 6 undominated; two vertices from
     # 4..7 could dominate both, but cannot also join 0 to 3.
     g = cycle_graph(8)
-    search = _Search(g, -2, PARAMETERS[PARAM_GAMMA_K_CA])
+    search = _Search(g, problem(g, PARAM_GAMMA_K_CA, -2))
     mask, cover, cover_t = _prefix_state(g, (0, 3))
     pos, need = 4, 2
     undominated = (search.full ^ cover).bit_count()
@@ -391,7 +422,7 @@ def test_prune_rule_never_cuts_the_oracle_witness(
     for g, target, k, expected in oracle_cells + cubic_oracle_cells + sparse_oracle_cells:
         if not expected.found:
             continue
-        search = _Search(g, 0 if k is None else k, PARAMETERS[target])
+        search = _Search(g, problem(g, target, k))
         witness = expected.witness_members()
         for i in range(1, len(witness) + 1):  # i = len(witness) is the leaf test
             need = len(witness) - i
@@ -472,7 +503,7 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
         g = random_graph(8 + seed % 5, (0.3, 0.45, 0.6)[seed % 3], 500 + seed)
         for target in (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
             for k in range(-g.max_degree, g.max_degree + 1):
-                search = Probe(g, k, PARAMETERS[target])
+                search = Probe(g, problem(g, target, k))
                 for size in range(1, g.n + 1):
                     hit, s, p = search.run(size)
                     subsets, prunes = subsets + s, prunes + p
@@ -482,7 +513,7 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
                 assert witness == brute_force_oracle(g, target, k).witness_members()
     # Both counters as they were before the stop: a skipped child counts as a
     # prune, exactly as the cut it stands for.
-    assert (subsets, prunes) == (13023, 54393)
+    assert (subsets, prunes) == (15012, 54541)
     # The count is fixed, so the sample cannot shrink unnoticed.
-    assert len(checked) == 11919
+    assert len(checked) == 11125
     assert "defensive_member" in checked
