@@ -139,28 +139,25 @@ class _Search:
 
     It searches one ``problem``: ``(dominating, connected, req)``. A node is
     a chosen prefix ``mask`` whose members are all below ``pos``;
-    ``need`` more vertices are still to come from ``pos..n-1``. ``cover`` is
-    the union of the members' closed neighbourhoods and ``cover_t`` that of
-    their open ones. Every child is tested before it is entered, and it is
+    ``need`` more vertices are still to come from ``pos..n-1``. A member
+    ``w`` serves ``serve[w] = N(w) | ({w} if req[w] == 0)``, and ``cover`` is
+    the union of the members' ``serve``; closed domination is
+    ``cover | mask``. Every child is tested before it is entered, and it is
     cut when ``_prune`` proves that no completion is feasible. Each rule
     below is sound on its own, so cutting never skips a feasible set and the
     first hit of a size stays the lex-least one:
 
-    - R1, suffix cover and counting: on a dominating problem every vertex of
-      ``R1 = {v : req[v] >= 1}`` ends with a neighbour in the set, since a
-      member needs ``req[v]`` of them inside and a non-member is dominated.
-      So an R1 vertex outside ``cover_t`` and outside the open
-      neighbourhood of every vertex still available is a cut, and ``need``
-      slots reach at most ``need`` times the largest suffix ``deg w`` new R1
-      vertices. These run first. At ``req = 1`` (gamma_t) no domination rule
-      can fire once they pass, while ``dominating_count`` can fire on a child
-      that ``total_cover``, a tail rule, would cut with all its later
-      siblings;
-    - dominating, suffix cover: some vertex lies outside ``cover`` and
-      outside the closed neighbourhood of every vertex still available;
-    - dominating, counting: each added vertex ``w`` newly dominates at most
-      ``deg w + 1`` vertices, so ``need`` slots cover at most ``need`` times
-      the largest such count over the suffix;
+    - dominating, served cover and counting: on a dominating problem every
+      vertex ends served. A vertex with ``req = 0`` is dominated; a member
+      with ``req >= 1`` has an inside neighbour; a non-member is dominated
+      by a neighbour. So a vertex outside ``cover`` and outside the ``serve``
+      of every vertex still available is a cut, and ``need`` slots serve at
+      most ``need`` times the largest suffix ``|serve[w]| = deg w +
+      [req[w] = 0]`` new vertices. ``req`` does not decrease as the degree
+      grows, so that largest ``|serve[w]|`` is the largest suffix degree
+      unless every suffix vertex has ``req = 0``: on gamma, gamma_t and any
+      regular graph the count is the closed count or the open one it
+      replaces;
     - connected, counting: order a connected completion ``S = mask | A``
       breadth-first in ``G[S]`` from its lowest member, so that each vertex
       after the first has an earlier neighbour; each added vertex is then
@@ -170,7 +167,8 @@ class _Search:
       ``C - 1`` components is entered from an added vertex ``q``, and
       ``N[q]`` holds ``x`` as a third vertex already dominated. The ``need``
       added vertices therefore newly dominate at most ``need`` times the
-      largest suffix ``deg w - 1``, less ``C - 1``;
+      largest suffix ``deg w - 1``, less ``C - 1``, of the vertices outside
+      ``cover | mask``;
     - connected, reachability: a connected completion lies inside
       ``mask`` plus the suffix, so every member must be reachable from the
       lowest one through those vertices. One walk (``_components``) checks
@@ -193,44 +191,39 @@ class _Search:
       total deficit of at most ``need`` times the largest suffix degree;
     - defensive and dominating, joint counting: in a completion ``mask | A``
       each unit of the members' total deficit needs an edge from ``A`` to a
-      deficient member, and each undominated vertex is in ``A`` or an
-      outside neighbour of a vertex of ``A``. An added ``w`` with ``m``
+      deficient member, and each vertex outside ``cover | mask`` is in ``A``
+      or an outside neighbour of a vertex of ``A``. An added ``w`` with ``m``
       member neighbours keeps at least ``max(m, req[w])`` neighbours inside,
       so it meets at most ``c(w) = |N(w) & deficient| + [w undominated] +
       min(|N(w) & undominated|, deg w - max(m, req[w]))`` of both demands.
       The count form compares deficit plus undominated with ``need`` times
-      the largest suffix ``deg w + [req[w] = 0]``, which bounds every
-      ``c(w)``; the sum form with the sum of the ``need`` largest ``c(w)``
-      over the suffix.
+      the largest suffix ``|serve[w]|``, which bounds every ``c(w)``; the
+      sum form with the sum of the ``need`` largest ``c(w)`` over the
+      suffix.
 
     The defensive and joint rules run on a dominating problem only when some
     ``req[v] >= 2``, and on a non-dominating one (``a_k``) when some
     ``req[v] >= 1``. Below that they are implied: at ``req[v] <= 1`` a
-    member's deficit is 1 exactly when it is an R1 vertex with no neighbour
-    in the set, which the R1 rules already decide.
+    member's deficit is 1 exactly when it is unserved, which the served
+    rules already decide.
 
     The same call is the leaf test: a complete set is a child with
     ``need = 0``, and it is feasible exactly when no rule fires. With no
-    slots left every counting rule reads "demand > 0". The cover and count
-    rules of domination (R1) fire iff some vertex is left undominated (some
-    R1 vertex has no neighbour in the set); ``defensive_member`` fires on
-    any deficit; and on a connected problem, which is always dominating,
-    ``connected_reach`` or ``connected_count`` (``0 > 1 - C``) fires iff
-    ``G[mask]`` has more than one component. On a feasible set every
-    deficit and the undominated count are 0, so no other rule fires; the
-    sum form is skipped at ``need = 0``, where the count form already
-    decides.
+    slots left every counting rule reads "demand > 0". The served count
+    fires iff some vertex is unserved, which on a dominating problem
+    decides domination, and the inside-neighbour demand too at max
+    ``req <= 1``; ``defensive_member`` fires on any deficit; and on a
+    connected problem, which is always dominating, ``connected_reach`` or
+    ``connected_count`` (``0 > 1 - C``) fires iff ``G[mask]`` has more than
+    one component. On a feasible set every deficit and the undominated count
+    are 0, so no other rule fires; the sum form is skipped at ``need = 0``,
+    where the count form already decides.
     """
 
     RULES = (
-        "dominating_cover", "dominating_count", "total_cover", "total_count",
-        "connected_count", "connected_reach", "defensive_member", "defensive_total",
-        "joint_count", "joint_sum",
+        "dominating_cover", "dominating_count", "connected_count", "connected_reach",
+        "defensive_member", "defensive_total", "joint_count", "joint_sum",
     )
-    # A child ``v`` fails these exactly when ``cover`` (``cover_t``) and the
-    # neighbourhoods of ``v..n-1`` miss a vertex (an R1 vertex), so every
-    # later sibling fails them too.
-    TAIL_RULES = frozenset({"dominating_cover", "total_cover"})
 
     def __init__(self, g: Graph, problem: tuple[bool, bool, tuple[int, ...]]):
         n = g.n
@@ -240,26 +233,22 @@ class _Search:
         self.req = req
         most = max(req, default=0)
         self.needs_def = most >= 2 if self.needs_dom else most >= 1
-        # R1: the vertices a dominating problem must totally dominate.
-        self.r1 = sum(1 << v for v in range(n) if req[v]) if self.needs_dom else 0
         self.full = (1 << n) - 1
+        self.serve = serve = [a | ((r == 0) << w) for w, (a, r) in enumerate(zip(adj, req))]
         deg = g.degrees
         suffix_all = [0] * (n + 1)
-        suffix_dom = [0] * (n + 1)
-        suffix_tot = [0] * (n + 1)
+        suffix_serve = [0] * (n + 1)
         suffix_deg = [0] * (n + 1)  # largest degree among w >= pos
-        joint_slots = [0] * (n + 1)  # bounds c(w) for every w >= pos
+        serve_slots = [0] * (n + 1)  # largest |serve[w]| among w >= pos
         for w in range(n - 1, -1, -1):
             suffix_all[w] = suffix_all[w + 1] | (1 << w)
-            suffix_dom[w] = suffix_dom[w + 1] | (1 << w) | adj[w]
-            suffix_tot[w] = suffix_tot[w + 1] | adj[w]
+            suffix_serve[w] = suffix_serve[w + 1] | serve[w]
             suffix_deg[w] = max(suffix_deg[w + 1], deg[w])
-            joint_slots[w] = max(joint_slots[w + 1], deg[w] + (req[w] == 0))
+            serve_slots[w] = max(serve_slots[w + 1], serve[w].bit_count())
         self.suffix_all = suffix_all
-        self.suffix_dom = suffix_dom
-        self.suffix_tot = suffix_tot
+        self.suffix_serve = suffix_serve
         self.suffix_deg = suffix_deg
-        self.joint_slots = joint_slots
+        self.serve_slots = serve_slots
         if self.needs_def and self.needs_dom:  # read by the joint sum form only
             self.joint_items = [(1 << w, adj[w], deg[w], req[w]) for w in range(n)]
         # fill_by[v][d]: the d-th largest neighbour of v, or -1 when v has
@@ -275,31 +264,28 @@ class _Search:
                         a ^= 1 << top
                 fill_by.append(row)
         self.fill = n  # smallest fill position of the last node _prune passed
-        # Vertices one added vertex can newly dominate, at most.
-        slack = -1 if self.needs_conn else 1
-        self.dom_slots = [d + slack for d in suffix_deg]
-        self.dom_count_rule = "connected_count" if self.needs_conn else "dominating_count"
 
     def run(self, size: int) -> tuple[int | None, int, int]:
         """Lex-least feasible subset of the given size (as a bitmask) plus
         (subsets examined, prune events)."""
         counters = [0, 0]  # subsets examined, prune events
-        hit = self._extend(0, 0, 0, 0, self.n - size + 1, size, counters)
+        hit = self._extend(0, 0, 0, self.n - size + 1, size, counters)
         return hit, counters[0], counters[1]
 
-    def _extend(self, mask, cover, cover_t, start, stop, need, counters):
+    def _extend(self, mask, cover, start, stop, need, counters):
         """Visit the children ``start <= v < stop`` of a node that still
         needs ``need`` vertices, in lex order; return the first hit."""
-        adj = self.adj
+        serve = self.serve
         need -= 1
         child_stop = self.n - need + 1
         for v in range(start, stop):
-            b = 1 << v
-            a = adj[v]
-            child = mask | b
-            child_cover = cover | b | a
-            rule = self._prune(child, child_cover, cover_t | a, v + 1, need)
-            if rule in self.TAIL_RULES:
+            child = mask | (1 << v)
+            child_cover = cover | serve[v]
+            rule = self._prune(child, child_cover, v + 1, need)
+            # A child fails the cover rule exactly when ``cover`` and the
+            # ``serve`` of ``v..n-1`` miss a vertex, so every later sibling
+            # fails it too.
+            if rule == "dominating_cover":
                 counters[1] += stop - v
                 break
             if need == 0:
@@ -312,28 +298,25 @@ class _Search:
                 end = child_stop
                 if need > 1 and self.fill < end:  # children past the fill position fail
                     end = self.fill + 1
-                hit = self._extend(child, child_cover, cover_t | a, v + 1, end, need, counters)
+                hit = self._extend(child, child_cover, v + 1, end, need, counters)
                 if hit is not None:
                     return hit
                 counters[1] += child_stop - end
         return None
 
-    def _prune(self, mask, cover, cover_t, pos, need) -> str | None:
+    def _prune(self, mask, cover, pos, need) -> str | None:
         """Name of a rule proving that no ``need`` vertices from
         ``pos..n-1`` complete ``mask``, or None."""
-        r1 = self.r1
-        if r1:
-            if (cover_t | self.suffix_tot[pos]) & r1 != r1:
-                return "total_cover"
-            if (r1 & ~cover_t).bit_count() > need * self.suffix_deg[pos]:
-                return "total_count"
         if self.needs_dom:
-            if (cover | self.suffix_dom[pos]) != self.full:
+            full = self.full
+            if (cover | self.suffix_serve[pos]) != full:
                 return "dominating_cover"
-            short = self.full ^ cover
+            if (full ^ cover).bit_count() > need * self.serve_slots[pos]:
+                return "dominating_count"
+            short = full ^ (cover | mask)
             undominated = short.bit_count()
-            if undominated > need * self.dom_slots[pos]:
-                return self.dom_count_rule
+            if self.needs_conn and undominated > need * (self.suffix_deg[pos] - 1):
+                return "connected_count"
         if self.needs_def:
             adj = self.adj
             req = self.req
@@ -360,7 +343,7 @@ class _Search:
                 return "defensive_total"
             if self.needs_dom:
                 demand = total + undominated
-                if demand > need * self.joint_slots[pos]:
+                if demand > need * self.serve_slots[pos]:
                     return "joint_count"
                 if need and demand > self._joint_capacity(mask, deficient, short, pos, need):
                     return "joint_sum"
@@ -368,7 +351,7 @@ class _Search:
             components = self._components(mask, self.suffix_all[pos])
             if not components:
                 return "connected_reach"
-            if self.needs_dom and undominated > need * self.dom_slots[pos] - components + 1:
+            if self.needs_dom and undominated > need * (self.suffix_deg[pos] - 1) - components + 1:
                 return "connected_count"
         return None
 

@@ -124,11 +124,16 @@ def test_gamma_t_is_the_global_alliance_problem_just_above_minus_degree(g):
 def test_paths_and_cycles_meet_their_closed_forms(n):
     """Past the oracle's cap: gamma = ceil(n/3) and gamma_t = floor(n/2) +
     ceil(n/4) - floor(n/4) on paths and cycles; on a cycle gamma_k_a is
-    gamma at k = -2, gamma_t at k = -1 and 0, and n at k = 1 and 2."""
+    gamma at k = -2, gamma_t at k = -1 and 0, and n at k = 1 and 2.
+    gamma_k_ca is n - 2 on both at k = -2 (connected domination), 0
+    (connected total domination) and -1, where a path's leaves need nothing
+    inside and its inner vertices one."""
     gamma, gamma_t = -(-n // 3), n // 2 + -(-n // 4) - n // 4
     for g in (path_graph(n), cycle_graph(n)):
         assert solve(g, PARAM_GAMMA, max_n=64).value == gamma
         assert solve(g, PARAM_GAMMA_T, max_n=64).value == gamma_t
+        for k in (-2, -1, 0):
+            assert solve(g, PARAM_GAMMA_K_CA, k, max_n=64).value == n - 2, (len(g.edges), k)
     cycle = cycle_graph(n)
     expected = {-2: gamma, -1: gamma_t, 0: gamma_t, 1: n, 2: n}
     for k, value in expected.items():
@@ -359,6 +364,17 @@ def test_joint_counting_cuts_the_search():
     assert stats.subsets + stats.prunes <= 6700
 
 
+def test_served_counting_cuts_mixed_requirements():
+    # Nodes, not seconds. At k = -2 this tree's leaves need nothing inside
+    # and its hubs one: a closed count over every vertex and an open one over
+    # the hubs, taken apart, need 16,930 nodes here.
+    g = random_tree(18, 938)
+    result = solve(g, PARAM_GAMMA_K_A, -2)
+    assert result.stats.subsets + result.stats.prunes <= 12000
+    expected = brute_force_oracle(g, PARAM_GAMMA_K_A, -2)
+    assert result.witness_members() == expected.witness_members()
+
+
 def test_connected_counting_cuts_the_search():
     # Nodes, not seconds. Without the charge for each extra component of the
     # chosen set, these take 48,788 and 31,512 nodes.
@@ -397,21 +413,20 @@ def test_connected_count_charges_each_extra_component():
     # 4..7 could dominate both, but cannot also join 0 to 3.
     g = cycle_graph(8)
     search = _Search(g, problem(g, PARAM_GAMMA_K_CA, -2))
-    mask, cover, cover_t = _prefix_state(g, (0, 3))
+    mask, cover = _prefix_state(search, (0, 3))
     pos, need = 4, 2
-    undominated = (search.full ^ cover).bit_count()
+    undominated = (search.full ^ (cover | mask)).bit_count()
     assert undominated == need * (g.max_degree - 1)
-    assert search._prune(mask, cover, cover_t, pos, need) == "connected_count"
+    assert search._prune(mask, cover, pos, need) == "connected_count"
     assert brute_force_oracle(g, PARAM_GAMMA_K_CA, -2).value > 2 + need
 
 
-def _prefix_state(g, members):
-    mask = cover = cover_t = 0
+def _prefix_state(search, members):
+    mask = cover = 0
     for v in members:
         mask |= 1 << v
-        cover |= (1 << v) | g.adjacency_bits[v]
-        cover_t |= g.adjacency_bits[v]
-    return mask, cover, cover_t
+        cover |= search.serve[v]
+    return mask, cover
 
 
 @pytest.mark.parametrize("rule", _Search.RULES)
@@ -426,7 +441,7 @@ def test_prune_rule_never_cuts_the_oracle_witness(
         witness = expected.witness_members()
         for i in range(1, len(witness) + 1):  # i = len(witness) is the leaf test
             need = len(witness) - i
-            state = _prefix_state(g, witness[:i])
+            state = _prefix_state(search, witness[:i])
             assert search._prune(*state, witness[i - 1] + 1, need) != rule, (
                 g.edges, target, k, witness[:i],
             )
@@ -486,17 +501,16 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
     checked = []
 
     class Probe(_Search):
-        def _extend(self, mask, cover, cover_t, start, stop, need, counters):
+        def _extend(self, mask, cover, start, stop, need, counters):
             card_stop = self.n - need + 1
             # Leaf children are each tested: the stop leaves them alone.
             assert need > 1 or stop == card_stop
             for v in range(stop, card_stop):
                 child = mask | (1 << v)
-                a = self.adj[v]
-                rule = self._prune(child, cover | (1 << v) | a, cover_t | a, v + 1, need - 1)
+                rule = self._prune(child, cover | self.serve[v], v + 1, need - 1)
                 assert rule is not None, (mask, v, need)
                 checked.append(rule)
-            return super()._extend(mask, cover, cover_t, start, stop, need, counters)
+            return super()._extend(mask, cover, start, stop, need, counters)
 
     subsets = prunes = 0
     for seed in range(24):
@@ -513,7 +527,7 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
                 assert witness == brute_force_oracle(g, target, k).witness_members()
     # Both counters as they were before the stop: a skipped child counts as a
     # prune, exactly as the cut it stands for.
-    assert (subsets, prunes) == (15012, 54541)
+    assert (subsets, prunes) == (14497, 54747)
     # The count is fixed, so the sample cannot shrink unnoticed.
     assert len(checked) == 11125
     assert "defensive_member" in checked
