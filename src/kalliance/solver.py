@@ -406,6 +406,57 @@ class _Search:
         return 0
 
 
+def _solve_from(
+    g: Graph,
+    parameter: str,
+    k: int | None,
+    posed: tuple[bool, bool, tuple[int, ...]],
+    floor: int,
+    candidates: tuple[int, ...] = (),
+) -> SolveResult:
+    """Lex-least optimum of ``posed`` among the sizes ``floor..n``, after a
+    leaf test of each candidate bitmask of size ``floor``.
+
+    ``solve`` passes floor 1 and no candidates. The corpus passes what a
+    solved relaxation P' of the same graph gives: a problem whose every
+    feasible set is P'-feasible (a lower ``req`` per vertex, or a demand
+    dropped) has a value of at least P''s value s', so the search may start
+    at s'. And when P''s lex-least witness W' passes this problem's leaf
+    test, (s', W') is the exact value and lex-least witness: every feasible
+    set of size s' is P'-feasible, so none comes before W' in the lex order
+    in which both searches visit the sets of a size. A candidate that passes
+    costs no node.
+    """
+    start = time.perf_counter()
+    search = _Search(g, posed)
+    for bits in candidates:
+        cover = 0
+        m = bits
+        while m:
+            b = m & -m
+            m ^= b
+            cover |= search.serve[b.bit_length() - 1]
+        # The leaf test of ``_Search``; with no slot left its verdict does
+        # not depend on ``pos``.
+        if search._prune(bits, cover, g.n, 0) is None:
+            return SolveResult(
+                parameter, k, STATUS_FOUND, floor, VertexSet(g, bits),
+                SearchStats(0, 0, time.perf_counter() - start),
+            )
+    subsets = prunes = 0
+    for size in range(floor, g.n + 1):
+        hit, s, p = search.run(size)
+        subsets += s
+        prunes += p
+        if hit is not None:
+            return SolveResult(
+                parameter, k, STATUS_FOUND, size, VertexSet(g, hit),
+                SearchStats(subsets, prunes, time.perf_counter() - start),
+            )
+    stats = SearchStats(subsets, prunes, time.perf_counter() - start)
+    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
+
+
 def solve(
     g: Graph,
     parameter: str,
@@ -427,20 +478,7 @@ def solve(
             f"order {g.n} exceeds the search cap {cap}; raise {MAX_N_ENV_VAR} "
             "or pass max_n to override"
         )
-    start = time.perf_counter()
-    search = _Search(g, posed)
-    subsets = prunes = 0
-    for size in range(1, g.n + 1):
-        hit, s, p = search.run(size)
-        subsets += s
-        prunes += p
-        if hit is not None:
-            return SolveResult(
-                parameter, k, STATUS_FOUND, size, VertexSet(g, hit),
-                SearchStats(subsets, prunes, time.perf_counter() - start),
-            )
-    stats = SearchStats(subsets, prunes, time.perf_counter() - start)
-    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
+    return _solve_from(g, parameter, k, posed, 1)
 
 
 # ---------------------------------------------------------------------------

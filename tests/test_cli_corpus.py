@@ -5,11 +5,13 @@ from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kalliance import bounds, corpus, solver
 from kalliance.alliances import (
-    PARAM_GAMMA,
+    PARAM_A_K,
     PARAM_GAMMA_K_A,
+    PARAM_GAMMA_K_CA,
     PARAM_GAMMA_T,
     PARAMETERS,
     ConstructionInvariantError,
@@ -212,48 +214,172 @@ class DrawnGraphSpec(GraphSpec):
 K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
 
 
+def _cells(outcome) -> dict:
+    """Every cell of a certified graph: (target, k) -> (result, source)."""
+    sources = {(e.target, r.k): e.source for r in outcome.records for e in r.entries}
+    results = {(t, k): res for k, row in outcome.table.items() for t, res in row.items()}
+    results.update({(t, None): res for t, res in outcome.domination.items()})
+    return {key: (res, sources[key]) for key, res in results.items()}
+
+
+def _answer(res):
+    return res.status, res.value, res.witness_members()
+
+
+def _nodes(res):
+    return res.stats.subsets, res.stats.prunes
+
+
+def _assert_cells_match_fresh_solves(g):
+    """Every cell, memo hit or reused along the relaxation order, equals a
+    fresh solve in (status, value, lex-least witness). A cell solved from
+    size 1 also repeats its counters; a reused one never does more work,
+    since a floor search runs the same sizes from the floor up."""
+    outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
+    cells = _cells(outcome)
+    assert len(cells) == len(k_range(g)) * len(K_TARGETS) + 2
+    for (target, k), (got, source) in cells.items():
+        fresh = solve(g, target, k)
+        assert (got.parameter, got.k) == (target, k)
+        assert _answer(got) == _answer(fresh), (target, k, source)
+        if source is None:
+            assert _nodes(got) == _nodes(fresh), (target, k)
+        else:
+            assert all(a <= b for a, b in zip(_nodes(got), _nodes(fresh))), (target, k, source)
+
+
 @settings(max_examples=25)
 @given(graphs(min_n=1, max_n=7))
 @example(random_cubic(10, 1))
 @example(random_cubic(10, 2))
 @example(complete_graph(4))
 def test_memoised_corpus_cells_match_fresh_solves(g):
-    def summary(res):
-        return (
-            res.parameter, res.k, res.status, res.value, res.witness_members(),
-            res.stats.subsets, res.stats.prunes,
-        )
+    _assert_cells_match_fresh_solves(g)
 
-    outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
-    cells = [(outcome.table[k][target], target, k) for k in k_range(g) for target in K_TARGETS]
-    cells += [(outcome.domination[target], target, None) for target in (PARAM_GAMMA, PARAM_GAMMA_T)]
-    for got, target, k in cells:
-        # A reused cell carries the stats of the solve it reuses, which may be
-        # another target's; the problem is the same, so those equal a fresh
-        # solve's too.
-        assert summary(got) == summary(solve(g, target, k)), (target, k)
+
+@settings(max_examples=25)
+@given(st.sampled_from((10, 12, 14, 16)), st.integers(0, 10_000))
+def test_reused_cells_match_fresh_solves_on_cubic_graphs(n, seed):
+    _assert_cells_match_fresh_solves(random_cubic(n, seed))
+
+
+def test_shortcut_cell_reports_no_work():
+    g = generate("petersen")
+    got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, 0]
+    fresh = solve(g, PARAM_GAMMA_K_A, 0)
+    # The lex-least plain 0-alliance of size 5 dominates, so it is the answer.
+    assert source == "a_k k=0"
+    assert _nodes(got) == (0, 0) and sum(_nodes(fresh)) > 0
+    assert _answer(got) == _answer(fresh) == ("found", 5, (0, 1, 2, 3, 4))
+
+
+def test_floor_search_skips_the_sizes_below_its_relaxation():
+    g = generate("petersen")
+    got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, -2]
+    fresh = solve(g, PARAM_GAMMA_K_A, -2)
+    # gamma = 3 is the floor; the witness of size 3 fails, so sizes 3 and 4 run.
+    assert source == "gamma_k_a k=-3"
+    assert _answer(got) == _answer(fresh)
+    assert 0 < sum(_nodes(got)) < sum(_nodes(fresh))
+
+
+def test_none_propagates_from_a_relaxation():
+    g = generate("path", n=6)
+    cells = _cells(_certify_graph(GraphSpec.of("path", n=6)))
+    # No plain 2-alliance exists on a path, so no global or connected one does.
+    assert cells[PARAM_A_K, 2][0].status == "none_exists"
+    for target, source in ((PARAM_GAMMA_K_A, "a_k k=2"), (PARAM_GAMMA_K_CA, "gamma_k_a k=2")):
+        got, got_source = cells[target, 2]
+        fresh = solve(g, target, 2)
+        assert got_source == source
+        assert _answer(got) == _answer(fresh) == ("none_exists", None, None)
+        assert _nodes(got) == (0, 0) and sum(_nodes(fresh)) > 0
 
 
 def test_corpus_solves_each_distinct_problem_once(monkeypatch):
-    calls = []
-    real_solve = solver.solve
+    solves, searches = [], []
+    real_solve, real_from = solver.solve, corpus._solve_from
 
     def counting_solve(g, parameter, k=None, **kwargs):
-        calls.append((parameter, k))
+        solves.append((parameter, k))
         return real_solve(g, parameter, k, **kwargs)
+
+    def counting_from(g, parameter, k, posed, floor, candidates=()):
+        res = real_from(g, parameter, k, posed, floor, candidates)
+        kind = "floor" if sum(_nodes(res)) else "shortcut"
+        searches.append((kind, parameter, k, floor))
+        return res
 
     monkeypatch.setattr(solver, "solve", counting_solve)
     monkeypatch.setattr(corpus, "solve", counting_solve)
     monkeypatch.setattr(bounds, "solve", counting_solve)
+    monkeypatch.setattr(corpus, "_solve_from", counting_from)
     spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
-    assert run_corpus(spec).total_violations() == 0
+    result = run_corpus(spec)
+    assert result.total_violations() == 0
     # On a cubic graph k = -3..3 clip to four requirement vectors, one per
-    # pair (-2, -1), (0, 1), (2, 3) and k = -3. gamma is gamma_k_a's problem
-    # at k = -3 and gamma_t its problem at k = -2, so neither is solved
-    # again, and the 2 * gamma bound reuses gamma.
-    per_target = [k for parameter, k in calls if parameter == PARAM_GAMMA_K_A]
-    assert per_target == [-3, -2, 0, 2]
-    assert len(calls) == 4 * len(K_TARGETS)
+    # pair (-2, -1), (0, 1), (2, 3) and k = -3, so there are 12 problems.
+    # gamma is gamma_k_a's problem at k = -3 and gamma_t its problem at
+    # k = -2, so neither is solved again, and the 2 * gamma bound reuses
+    # gamma. Only a_k at k = -3 has no relaxation and is solved fresh; every
+    # other problem starts from one. The second solve is the sampled
+    # re-solve of a reused cell.
+    assert solves == [(PARAM_A_K, -3), (PARAM_GAMMA_K_A, -3)]
+    assert searches == [
+        ("floor", PARAM_GAMMA_K_A, -3, 1),
+        ("floor", PARAM_GAMMA_K_CA, -3, 3),
+        ("floor", PARAM_A_K, -2, 1),
+        ("floor", PARAM_GAMMA_K_A, -2, 3),
+        ("shortcut", PARAM_GAMMA_K_CA, -2, 4),
+        ("floor", PARAM_A_K, 0, 2),
+        ("shortcut", PARAM_GAMMA_K_A, 0, 5),
+        ("shortcut", PARAM_GAMMA_K_CA, 0, 5),
+        ("floor", PARAM_A_K, 2, 5),
+        ("shortcut", PARAM_GAMMA_K_A, 2, 10),
+        ("shortcut", PARAM_GAMMA_K_CA, 2, 10),
+    ]
+    assert 1 + len(searches) == 4 * len(K_TARGETS)
+    reuse = {name: count for name, count in result.checks_run.items() if name.startswith("reuse_")}
+    assert reuse == {"reuse_none": 0, "reuse_shortcut": 5, "reuse_floor": 6, "reuse_resolved": 1}
+
+
+def test_a_wrong_reuse_is_caught_by_the_fresh_re_solve(monkeypatch):
+    real_from = corpus._solve_from
+
+    def one_too_many(g, parameter, k, posed, floor, candidates=()):
+        res = real_from(g, parameter, k, posed, floor, candidates)
+        return replace(res, value=res.value + 1) if res.found else res
+
+    monkeypatch.setattr(corpus, "_solve_from", one_too_many)
+    result = run_corpus(CorpusSpec(graphs=(GraphSpec.of("petersen"),)))
+    caught = [v for v in result.all_violations() if "a fresh solve gives" in v]
+    # One reused cell per graph is solved afresh: gamma_k_a at k = -3.
+    assert result.checks_run["reuse_resolved"] == 1
+    assert len(caught) == 1 and "gamma_k_a k=-3: reused from a_k k=-3" in caught[0]
+
+
+def test_certify_json_names_each_reused_cell(capsys, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"graphs": [{"family": "petersen"}]}))
+    csv_path, json_path = tmp_path / "out.csv", tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, "certify", "--corpus", str(spec_path), "-o", str(csv_path), "--json", str(json_path)
+    )
+    assert code == 0
+    assert err == "certified 1 graphs, 8 records, 0 violations, 0 unsolved cells\n"
+    assert "source" not in csv_path.read_text().splitlines()[0]
+    report = json.loads(json_path.read_text())
+    sources = {
+        (e["target"], r["k"]): e["source"] for r in report["records"] for e in r["entries"]
+    }
+    assert sources[PARAM_A_K, -3] is None
+    assert sources[PARAM_GAMMA_K_A, 0] == "a_k k=0"
+    assert sources[PARAM_GAMMA_K_A, -2] == sources[PARAM_GAMMA_K_A, -1] == "gamma_k_a k=-3"
+    # gamma_t poses gamma_k_a's problem at k = -2 and carries its source.
+    assert sources[PARAM_GAMMA_T, None] == "gamma_k_a k=-3"
+    assert sum(source is None for source in sources.values()) == 1
+    checks = report["checks_run"]
+    assert (checks["reuse_shortcut"], checks["reuse_floor"], checks["reuse_none"]) == (5, 6, 0)
 
 
 def _petersen_cells_and_violations():
