@@ -5,13 +5,13 @@ normalizer.
 Every real-valued lower bound is reported as a ceiling clamped to >= 1
 (alliance numbers are integers and alliances are nonempty); upper bounds are
 exact integer expressions. Bounds whose hypotheses a graph does not meet are
-reported with ``applicable=False`` and a reason, never raised.
+reported without a value (not ``applicable``) and with a reason, never raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alliances import (
     PARAM_A_K,
@@ -30,7 +30,7 @@ from .graphs import (
     is_tree,
     is_triangle_free,
 )
-from .solver import solve
+from .solver import ResourceLimitError, solve
 
 KIND_LOWER = "lower"
 KIND_UPPER = "upper"
@@ -46,12 +46,11 @@ class BoundReport:
     target: str
     k: int
     value: int | None
-    applicable: bool
     reason: str | None = None
 
-    def __post_init__(self):
-        if self.applicable != (self.value is not None):
-            raise ValueError("value must be present exactly when applicable")
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -85,7 +84,7 @@ def _ceil_half_sqrt_plus(disc: int, offset: int) -> int:
 
 
 def _na(name: str, anchor: str, kind: str, target: str, k: int, reason: str) -> BoundReport:
-    return BoundReport(name, anchor, kind, target, k, None, False, reason)
+    return BoundReport(name, anchor, kind, target, k, None, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def lower_sqrt(n: int, k: int) -> BoundReport:
     """size >= (sqrt(4n + k^2) + k) / 2 for any global defensive k-alliance."""
     anchor = "size >= (sqrt(4n + k^2) + k) / 2"
     value = max(1, _ceil_half_sqrt_plus(4 * n + k * k, k))
-    return BoundReport("lower_sqrt", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("lower_sqrt", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
 
 
 def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
@@ -120,7 +119,7 @@ def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
             f"remove {(d_min - k) // 2} neighbors but only {d_max} exist",
         )
     value = n - (d_min - k) // 2
-    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, value)
 
 
 def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:
@@ -132,7 +131,7 @@ def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:
             f"k={k} exceeds maximum degree {d_max}",
         )
     value = max(1, _ceil_div(n, (d_max - k) // 2 + 1))
-    return BoundReport("lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
 
 
 def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
@@ -147,21 +146,23 @@ def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
             f"k={k} exceeds d1 + d2 - 2 = {d1 + d2 - 2}",
         )
     value = max(1, _ceil_div(m, (d1 + d2 - 2 - k) // 2 + 1))
-    return BoundReport("line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
 
 
 def cubic_upper_2gamma(g: Graph, gamma: int | None = None) -> BoundReport:
     """For 3-regular graphs: minimum global defensive (-1)-alliance is at
     most twice the domination number. Pass ``gamma`` when it is known;
-    otherwise it is solved for."""
+    otherwise it is solved for, and the report abstains when that solve is
+    past the size cap."""
     anchor = "cubic: size at k=-1 <= 2 * domination number"
     if not is_cubic(g):
         return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, "not cubic")
     if gamma is None:
-        gamma = solve(g, PARAM_GAMMA).value
-    return BoundReport(
-        "cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma, True
-    )
+        try:
+            gamma = solve(g, PARAM_GAMMA).value
+        except ResourceLimitError as exc:
+            return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, str(exc))
+    return BoundReport("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma)
 
 
 def _planar_body(name: str, n: int, k: int, triangle_free: bool) -> BoundReport:
@@ -173,11 +174,11 @@ def _planar_body(name: str, n: int, k: int, triangle_free: bool) -> BoundReport:
     if triangle_free and k <= 4:
         anchor = "planar triangle-free: |S| >= (n + 8) / (5 - k)"
         value = max(1, _ceil_div(n + 8, 5 - k))
-        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
     if k <= 6:
         anchor = "planar: |S| >= (n + 12) / (7 - k)"
         value = max(1, _ceil_div(n + 12, 7 - k))
-        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
     return _na(
         name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, PARAM_GAMMA_K_A, k,
         f"nonpositive denominator for k={k}",
@@ -206,7 +207,7 @@ def faces_lower(n: int, f: int, k: int) -> BoundReport:
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n - 2 * f + 4, 3 - k))
-    return BoundReport("faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
 
 
 def induced_face_count(g: Graph, members) -> int:
@@ -234,7 +235,7 @@ def tree_lower(n: int, c: int, k: int) -> BoundReport:
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n + 2 * c, 3 - k))
-    return BoundReport("tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value, True)
+    return BoundReport("tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
 
 
 def connected_lower_i(n: int, d: int, k: int) -> BoundReport:
@@ -242,7 +243,7 @@ def connected_lower_i(n: int, d: int, k: int) -> BoundReport:
     anchor = "size >= (sqrt(4(diam + n - 1) + (1 - k)^2) + k - 1) / 2"
     disc = 4 * (d + n - 1) + (1 - k) ** 2
     value = max(1, _ceil_half_sqrt_plus(disc, k - 1))
-    return BoundReport("connected_lower_i", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value, True)
+    return BoundReport("connected_lower_i", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value)
 
 
 def connected_lower_ii(n: int, d: int, d_max: int, k: int) -> BoundReport:
@@ -255,7 +256,7 @@ def connected_lower_ii(n: int, d: int, d_max: int, k: int) -> BoundReport:
             f"nonpositive denominator for k={k}",
         )
     value = max(1, _ceil_div(n + d - 1, den))
-    return BoundReport("connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value, True)
+    return BoundReport("connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value)
 
 
 def line_graph_connected_lower(
@@ -268,7 +269,7 @@ def line_graph_connected_lower(
     disc = 4 * (d + m - 2) + (1 - k) ** 2
     value_i = max(1, _ceil_half_sqrt_plus(disc, k - 1))
     first = BoundReport(
-        "line_graph_connected_lower_i", anchor_i, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_i, True
+        "line_graph_connected_lower_i", anchor_i, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_i
     )
     anchor_ii = "line-graph size >= 2(m + diam - 2) / (d1 + d2 - k + 1)"
     den = d1 + d2 - k + 1
@@ -280,8 +281,7 @@ def line_graph_connected_lower(
     else:
         value_ii = max(1, _ceil_div(2 * (m + d - 2), den))
         second = BoundReport(
-            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k,
-            value_ii, True,
+            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_ii
         )
     return first, second
 
@@ -308,15 +308,6 @@ def parity_collapse(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 # Aggregation
 # ---------------------------------------------------------------------------
-
-def _retarget(report: BoundReport, target: str) -> BoundReport:
-    if report.target == target:
-        return report
-    return BoundReport(
-        report.name, report.anchor, report.kind, target, report.k,
-        report.value, report.applicable, report.reason,
-    )
-
 
 def _check_target(target: str):
     if not lookup_parameter(target).takes_k:
@@ -353,7 +344,7 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
             d = diameter(g)
             reports.append(connected_lower_i(g.n, d, k))
             reports.append(connected_lower_ii(g.n, d, g.max_degree, k))
-        reports = [_retarget(r, PARAM_GAMMA_K_CA) for r in reports]
+        reports = [replace(r, target=PARAM_GAMMA_K_CA) for r in reports]
     return reports
 
 

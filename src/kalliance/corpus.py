@@ -240,33 +240,15 @@ def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> 
     raise AssertionError("a global alliance always contains a dominating subset")
 
 
-def _gamma_a_at(table, k, gamma_value):
-    """gamma_k_a value at k <= max degree. ``table`` covers the whole degree
-    range, so a k it lacks lies below -max degree, where every dominating
-    set qualifies and the value equals gamma."""
-    entry = table.get(k)
-    return gamma_value if entry is None else entry[PARAM_GAMMA_K_A].value
-
-
 @dataclass
 class _GraphOutcome:
     graph: Graph
     graph_id: str
-    table: dict[int, dict[str, SolveResult]]
-    domination: dict[str, SolveResult]  # the gamma and gamma_t solves
+    cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]]  # (result, source)
     records: list[CertificationRecord]
     extras: list[str]
     shrink_pool: list[tuple[int, VertexSet, VertexSet]]  # (k, witness, min dominating W)
     counts: dict[str, int] = field(default_factory=dict)
-
-
-def _solve_row(g: Graph, target: str, k: int | None = None) -> SolveResult:
-    """Solve one corpus cell; oversize instances become a recorded status
-    instead of aborting the run."""
-    try:
-        return solve(g, target, k)
-    except ResourceLimitError:
-        return SolveResult(target, k, STATUS_RESOURCE, None, None, SearchStats(0, 0, 0.0))
 
 
 def _cell_name(target: str, k: int | None) -> str:
@@ -283,17 +265,16 @@ def _reuse_relaxations(
     A relaxation without a solution leaves none for the cell. Otherwise the
     largest relaxed value s' is a floor, and the lex-least witnesses of
     value s' are tried first (``solver._solve_from`` states why a witness
-    that passes is exact). A ``resource_error`` relaxation tells nothing.
+    that passes is exact).
     """
-    known = [(name, res) for name, res in relaxations if res.status != STATUS_RESOURCE]
-    for name, res in known:
+    for name, res in relaxations:
         if res.status == STATUS_NONE:
             none = SolveResult(target, k, STATUS_NONE, None, None, SearchStats(0, 0, 0.0))
             return none, name, "none"
-    if not known:
-        return _solve_row(g, target, k), None, "fresh"
-    floor = max(res.value for _, res in known)
-    tops = [(name, res.witness.bits) for name, res in known if res.value == floor]
+    if not relaxations:
+        return solve(g, target, k), None, "fresh"
+    floor = max(res.value for _, res in relaxations)
+    tops = [(name, res.witness.bits) for name, res in relaxations if res.value == floor]
     res = _solve_from(g, target, k, posed, floor, tuple(bits for _, bits in tops))
     if res.stats.subsets or res.stats.prunes:
         return res, tops[0][0], "floor"
@@ -303,8 +284,9 @@ def _reuse_relaxations(
 def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     g = gs.build()
     gid = f"{gs.label()}-{g.content_hash()}"
-    ks = list(k_range(g))
+    ks = k_range(g)
     k_targets = [t for t, row in PARAMETERS.items() if row.takes_k]
+    order = [(t, k) for k in ks for t in k_targets] + [(PARAM_GAMMA, None), (PARAM_GAMMA_T, None)]
 
     # Cells that pose the same problem (gamma is gamma_k_a at k = -max
     # degree, and on a cubic graph gamma_t is gamma_k_a at k = -2 and -1)
@@ -315,31 +297,36 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
         PARAM_GAMMA_K_A: PARAM_A_K, PARAM_GAMMA_K_CA: PARAM_GAMMA_K_A, PARAM_GAMMA_T: PARAM_GAMMA,
     }
     solved: dict[tuple, tuple[SolveResult, str | None]] = {}
-    found: dict[tuple[str, int | None], tuple[SolveResult, str | None]] = {}
+    cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]] = {}
     reused: list[tuple[str, int | None]] = []
     counts = {"reuse_none": 0, "reuse_shortcut": 0, "reuse_floor": 0, "reuse_resolved": 0}
-
-    def cell(t: str, k: int | None = None) -> SolveResult:
-        key = problem(g, t, k)
-        hit = solved.get(key)
-        if hit is None:
-            relaxed = [(t, k - 1)] if k is not None and k > ks[0] else []
-            if t in weaker:
-                relaxed.append((weaker[t], k))
-            relaxations = [(_cell_name(u, j), found[u, j][0]) for u, j in relaxed]
-            res, source, how = _reuse_relaxations(g, t, k, key, relaxations)
-            hit = solved[key] = res, source
-            if how != "fresh":
-                counts[f"reuse_{how}"] += 1
-                reused.append((t, k))
-        else:
-            hit = replace(hit[0], parameter=t, k=k), hit[1]
-        found[t, k] = hit
-        return hit[0]
-
-    table = {k: {t: cell(t, k) for t in k_targets} for k in ks}
-    gamma = cell(PARAM_GAMMA)
-    gamma_t = cell(PARAM_GAMMA_T)
+    try:
+        for t, k in order:
+            key = problem(g, t, k)
+            hit = solved.get(key)
+            if hit is None:
+                relaxed = [(t, k - 1)] if k is not None and k > ks[0] else []
+                if t in weaker:
+                    relaxed.append((weaker[t], k))
+                relaxations = [(_cell_name(u, j), cells[u, j][0]) for u, j in relaxed]
+                res, source, how = _reuse_relaxations(g, t, k, key, relaxations)
+                hit = solved[key] = res, source
+                if how != "fresh":
+                    counts[f"reuse_{how}"] += 1
+                    reused.append((t, k))
+            else:
+                hit = replace(hit[0], parameter=t, k=k), hit[1]
+            cells[t, k] = hit
+    except ResourceLimitError:
+        # Only a fresh ``solve`` checks the size cap, and the first cell, a_k
+        # at -max degree, has no relaxation: it is always solved fresh, so an
+        # oversize graph stops there, before any cell is reused.
+        cells = {
+            (t, k): (SolveResult(t, k, STATUS_RESOURCE, None, None, SearchStats(0, 0, 0.0)), None)
+            for t, k in order
+        }
+    gamma, gamma_source = cells[PARAM_GAMMA, None]
+    gamma_t, gamma_t_source = cells[PARAM_GAMMA_T, None]
 
     records: list[CertificationRecord] = []
     entry_of: dict[tuple[str, int | None], RowEntry] = {}
@@ -355,15 +342,12 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     for k in ks:
         entries: list[RowEntry] = []
         for target in k_targets:
-            res = table[k][target]
-            try:
-                reports = bounds_mod.evaluate_all(g, k, target, gamma.value)
-            except ResourceLimitError:
-                reports = []
+            res, source = cells[target, k]
+            reports = bounds_mod.evaluate_all(g, k, target, gamma.value)
             lower = bounds_mod.best_lower(reports)
             upper = bounds_mod.best_upper(reports)
             entry = entry_of[target, k] = RowEntry(
-                target, res.status, res.value, lower, upper, source=found[target, k][1]
+                target, res.status, res.value, lower, upper, source=source
             )
 
             if res.found:
@@ -386,24 +370,6 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                             f"{gid} k={k} {target}: value {res.value} above "
                             f"{report.name}={report.value}"
                         )
-                if target == PARAM_GAMMA_K_A:
-                    size = res.value
-                    # Certified witnesses satisfy the quadratic size relation
-                    # and the per-vertex outside-degree cap.
-                    if size * size - k * size - g.n < 0:
-                        entry.violations.append(
-                            f"{gid} k={k}: witness size {size} violates s^2 - k s - n >= 0"
-                        )
-                    cap = (d_max - k) // 2
-                    members = set(res.witness.members)
-                    if any(
-                        g.degrees[v] - len(g.adjacency[v] & members) > cap
-                        for v in members
-                    ):
-                        entry.violations.append(
-                            f"{gid} k={k}: witness outside-degree exceeds "
-                            f"floor((d1 - k) / 2) = {cap}"
-                        )
                 if target == PARAM_GAMMA_K_CA and connected:
                     if diam > res.value + 1:
                         entry.violations.append(
@@ -412,17 +378,13 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             entries.append(entry)
         records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))
 
-    def value_of(k: int, target: str):
-        res = table[k][target]
-        return res.value if res.found else None
-
     for k in ks:
         # The parity lemma as ``bounds`` codes it: the collapsed k must pose
         # the same problem. Equal values would follow from the memo alone.
         collapsed = bounds_mod.parity_collapse(g, k)
         if (
             collapsed != k
-            and collapsed in table
+            and collapsed in ks
             and requirements(g, collapsed) != requirements(g, k)
         ):
             for target in (PARAM_A_K, PARAM_GAMMA_K_A):
@@ -432,37 +394,31 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                 )
 
     if not is_regular(g):
-        if table[d_max][PARAM_GAMMA_K_A].found:
+        if cells[PARAM_GAMMA_K_A, d_max][0].found:
             entry_of[PARAM_GAMMA_K_A, d_max].violations.append(
                 f"{gid}: nonregular graph admits a global defensive {d_max}-alliance"
             )
     elif g.n >= 2:
         # The top two k of the range; an edgeless graph's range is k = 0 alone.
         for k in ks[-2:]:
-            res = table[k][PARAM_GAMMA_K_A]
+            res = cells[PARAM_GAMMA_K_A, k][0]
             if res.status != STATUS_RESOURCE and res.value != g.n:
                 entry_of[PARAM_GAMMA_K_A, k].violations.append(
                     f"{gid}: regular graph should have gamma_k_a = n at k={k}"
                 )
 
-    if cubic:
-        gka_m1 = value_of(-1, PARAM_GAMMA_K_A)
-        if gamma.found and gka_m1 is not None and gka_m1 > 2 * gamma.value:
-            entry_of[PARAM_GAMMA_K_A, -1].violations.append(
-                f"{gid}: cubic bound gamma_k_a(-1)={gka_m1} exceeds 2*gamma={2 * gamma.value}"
-            )
-
     # The shrink trade: dropping r vertices may lower the level by 2r but
-    # can save at most r vertices.
+    # can save at most r vertices. Below -max degree the level no longer
+    # matters: every dominating set qualifies, as at -max degree itself.
     if gamma.found:
         for k in ks:
-            res = table[k][PARAM_GAMMA_K_A]
+            res = cells[PARAM_GAMMA_K_A, k][0]
             if not res.found:
                 continue
             w = _min_dominating_subset(g, res.witness, gamma.witness)
             shrink_pool.append((k, res.witness, w))
             for r in range(0, res.value - len(w) + 1):
-                lowered = _gamma_a_at(table, k - 2 * r, gamma.value)
+                lowered = cells[PARAM_GAMMA_K_A, max(k - 2 * r, ks[0])][0].value
                 if lowered is None or lowered + r > res.value:
                     entry_of[PARAM_GAMMA_K_A, k].violations.append(
                         f"{gid} k={k} r={r}: shrink inequality fails "
@@ -471,13 +427,12 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
 
     # Per-graph rows for the domination parameters.
     gamma_entry = entry_of[PARAM_GAMMA, None] = RowEntry(
-        PARAM_GAMMA, gamma.status, gamma.value, None, None, source=found[PARAM_GAMMA, None][1]
+        PARAM_GAMMA, gamma.status, gamma.value, None, None, source=gamma_source
     )
     if gamma.found and not is_dominating(g, gamma.witness):
         gamma_entry.violations.append(f"{gid}: gamma witness does not dominate")
     gamma_t_entry = entry_of[PARAM_GAMMA_T, None] = RowEntry(
-        PARAM_GAMMA_T, gamma_t.status, gamma_t.value, None, None,
-        source=found[PARAM_GAMMA_T, None][1],
+        PARAM_GAMMA_T, gamma_t.status, gamma_t.value, None, None, source=gamma_t_source
     )
     if gamma_t.found and not is_total_dominating(g, gamma_t.witness):
         gamma_t_entry.violations.append(f"{gid}: gamma_t witness does not totally dominate")
@@ -496,7 +451,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     rng = random.Random(f"{_SAMPLE_SEED}:{gid}")
     for t, k in rng.sample(reused, min(REUSE_SAMPLES, len(reused))):
         counts["reuse_resolved"] += 1
-        (got, source), fresh = found[t, k], _solve_row(g, t, k)
+        (got, source), fresh = cells[t, k], solve(g, t, k)
         have = got.status, got.value, got.witness_members()
         want = fresh.status, fresh.value, fresh.witness_members()
         if have != want:
@@ -534,8 +489,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                     f"more than 2*gamma={2 * gamma.value}"
                 )
 
-    domination = {PARAM_GAMMA: gamma, PARAM_GAMMA_T: gamma_t}
-    return _GraphOutcome(g, gid, table, domination, records, extras, shrink_pool, counts)
+    return _GraphOutcome(g, gid, cells, records, extras, shrink_pool, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from kalliance.graphs import (
     cycle_graph,
     hypercube_graph,
     petersen_graph,
+    random_cubic,
     random_tree,
     star_graph,
 )
@@ -103,6 +104,10 @@ def test_cubic_upper_values():
     assert cubic_upper_2gamma(complete_graph(4)).value == 2
     report = cubic_upper_2gamma(star_graph(5))
     assert not report.applicable and report.reason == "not cubic"
+    # Past the search cap gamma is not solved for: the bound abstains.
+    report = cubic_upper_2gamma(random_cubic(26, 1))
+    assert not report.applicable and "exceeds the search cap" in report.reason
+    assert cubic_upper_2gamma(random_cubic(26, 1), 7).value == 14
 
 
 def test_planar_lower_values():
@@ -167,6 +172,7 @@ def test_line_graph_connected_values():
     # at k=-1 is exactly 2.
     first, second = line_graph_connected_lower(4, 2, 4, 1, -1)
     assert second.value == 2
+    assert first.applicable and second.applicable and first.reason is second.reason is None
     assert solve(complete_graph(4), "gamma_k_ca", -1).value == 2
     # 2-path parameters bound its line graph K_2: the bound gives 1, the
     # exact connected value is 2 (a singleton has more outside neighbors).

@@ -1,7 +1,9 @@
+import hashlib
 import io
 import json
 import random
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from kalliance import bounds, corpus, solver
 from kalliance.alliances import (
     PARAM_A_K,
+    PARAM_GAMMA,
     PARAM_GAMMA_K_A,
     PARAM_GAMMA_K_CA,
     PARAM_GAMMA_T,
@@ -174,6 +177,20 @@ def test_bounds_with_set_certifies_and_adds_face_bound(capsys, tmp_path):
     assert by_name["faces_lower"]["value"] == 3
 
 
+def test_bounds_cli_marks_the_cubic_bound_na_past_the_search_cap(capsys, tmp_path):
+    # gamma of an n = 26 graph is past the search cap, so the 2 * gamma bound
+    # abstains instead of failing the whole command.
+    path = tmp_path / "cubic26.el"
+    path.write_text(to_edge_list(random_cubic(26, 1)))
+    code, out, _ = run_cli(capsys, "bounds", "--graph", str(path), "--k", "-1", "--target", "gka")
+    assert code == 0
+    by_name = {r["name"]: r for r in json.loads(out)}
+    cubic = by_name["cubic_upper_2gamma"]
+    assert not cubic["applicable"] and cubic["value"] is None
+    assert "exceeds the search cap" in cubic["reason"]
+    assert by_name["lower_maxdeg"]["value"] == 9
+
+
 def test_oracle_check_exits_clean(capsys, tmp_path):
     path = tmp_path / "pet.el"
     path.write_text(to_edge_list(generate("petersen")))
@@ -215,11 +232,11 @@ K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
 
 
 def _cells(outcome) -> dict:
-    """Every cell of a certified graph: (target, k) -> (result, source)."""
+    """Every cell of a certified graph: (target, k) -> (result, source), with
+    each source checked against the one its record carries."""
     sources = {(e.target, r.k): e.source for r in outcome.records for e in r.entries}
-    results = {(t, k): res for k, row in outcome.table.items() for t, res in row.items()}
-    results.update({(t, None): res for t, res in outcome.domination.items()})
-    return {key: (res, sources[key]) for key, res in results.items()}
+    assert sources == {key: source for key, (_, source) in outcome.cells.items()}
+    return outcome.cells
 
 
 def _answer(res):
@@ -384,11 +401,7 @@ def test_certify_json_names_each_reused_cell(capsys, tmp_path):
 
 def _petersen_cells_and_violations():
     outcome = _certify_graph(GraphSpec.of("petersen"))
-    cells = {
-        (k, target): (res.status, res.value, res.witness_members())
-        for k, row in outcome.table.items()
-        for target, res in row.items()
-    }
+    cells = {key: _answer(res) for key, (res, _) in outcome.cells.items()}
     violations = [v for r in outcome.records for e in r.entries for v in e.violations]
     return cells, violations + outcome.extras
 
@@ -411,6 +424,39 @@ def test_wrong_lower_bound_is_reported_and_never_changes_a_value(monkeypatch):
     assert all("below lower_maxdeg" in v for v in wrong_violations), wrong_violations
 
 
+def _petersen_violations_with_a_wrong_value(monkeypatch, target, k, value):
+    """Certify the Petersen graph with the problem that ``target`` poses at
+    ``k`` solved to ``value``; its witness is left as solved."""
+    posed = solver.problem(generate("petersen"), target, k)
+    real_from = corpus._solve_from
+
+    def wrong(g, parameter, k, key, floor, candidates=()):
+        res = real_from(g, parameter, k, key, floor, candidates)
+        return replace(res, value=value) if key == posed else res
+
+    monkeypatch.setattr(corpus, "_solve_from", wrong)
+    return _petersen_cells_and_violations()[1]
+
+
+def test_cubic_upper_2gamma_catches_a_value_above_twice_gamma(monkeypatch):
+    gamma = solve(generate("petersen"), PARAM_GAMMA).value
+    violations = _petersen_violations_with_a_wrong_value(
+        monkeypatch, PARAM_GAMMA_K_A, -1, 2 * gamma + 1
+    )
+    assert any(
+        f"k=-1 gamma_k_a: value {2 * gamma + 1} above cubic_upper_2gamma={2 * gamma}" in v
+        for v in violations
+    ), violations
+
+
+def test_lower_sqrt_catches_a_value_below_the_size_bound(monkeypatch):
+    bound = bounds.lower_sqrt(10, 0).value
+    violations = _petersen_violations_with_a_wrong_value(monkeypatch, PARAM_GAMMA_K_A, 0, bound - 1)
+    assert any(
+        f"k=0 gamma_k_a: value {bound - 1} below lower_sqrt={bound}" in v for v in violations
+    ), violations
+
+
 def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
     monkeypatch.setattr(bounds, "parity_collapse", lambda g, k: k + 1)
     spec = CorpusSpec(graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")))
@@ -428,6 +474,13 @@ def test_corpus_csv_is_deterministic():
     assert header == "graph,family,n,m,k,target,status,value,best_lower,best_upper,violations"
 
 
+def test_default_corpus_csv_matches_the_benchmark_reference(default_corpus):
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())
+    _, result = default_corpus
+    digest = hashlib.sha256(result.to_csv().encode()).hexdigest()
+    assert digest == refs["small-verify"]["default_csv_sha256"]
+
+
 def test_corpus_spec_json_round_trip():
     text = json.dumps(SMALL_SPEC.to_json_dict())
     again = load_corpus_spec(text)
@@ -441,12 +494,26 @@ def test_empty_corpus_spec():
     assert result.to_csv().count("\n") == 1  # header only
 
 
-def test_oversize_corpus_graph_is_recorded_not_fatal():
+def test_oversize_corpus_graph_is_recorded_not_fatal(monkeypatch):
+    searches = []
+    monkeypatch.setattr(corpus, "_solve_from", lambda *args: searches.append(args))
     spec = CorpusSpec(graphs=(GraphSpec.of("complete", n=30),))
     result = run_corpus(spec)
     assert result.total_violations() == 0
     statuses = {e.status for r in result.records for e in r.entries}
     assert statuses == {"resource_error"}
+    # The first cell's fresh solve meets the cap, so no cell is reused.
+    assert searches == []
+    reuse = {name: count for name, count in result.checks_run.items() if name.startswith("reuse_")}
+    assert reuse == {"reuse_none": 0, "reuse_shortcut": 0, "reuse_floor": 0, "reuse_resolved": 0}
+
+
+def test_oversize_cubic_graph_keeps_its_bounds_at_k_minus_1():
+    result = run_corpus(CorpusSpec(graphs=(GraphSpec.of("random_cubic", n=26, seed=1),)))
+    rows = result.to_csv().splitlines()
+    # The 2 * gamma bound abstains, so k = -1 keeps the other bounds, as k = -2 does.
+    assert sum(row.endswith(",-2,gamma_k_a,resource_error,,9,24,0") for row in rows) == 1
+    assert sum(row.endswith(",-1,gamma_k_a,resource_error,,9,24,0") for row in rows) == 1
 
 
 def test_certify_cli_exits_1_when_cells_are_unsolved(capsys, tmp_path):
