@@ -12,7 +12,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, count, groupby
 
 from . import bounds as bounds_mod
 from .alliances import (
@@ -41,8 +41,6 @@ from .graphs import (
     is_cubic,
     is_regular,
     is_tree,
-    random_cubic,
-    random_graph,
 )
 from .solver import (
     STATUS_NONE,
@@ -281,6 +279,15 @@ def _reuse_relaxations(
     return res, next(name for name, bits in tops if bits == res.witness.bits), "shortcut"
 
 
+def _witness_ok(g: Graph, witness: VertexSet, target: str, k: int | None) -> bool:
+    """Re-certify a solved witness through the set-based predicates."""
+    if target == PARAM_GAMMA:
+        return is_dominating(g, witness)
+    if target == PARAM_GAMMA_T:
+        return is_total_dominating(g, witness)
+    return certify(g, witness, k, PARAMETERS[target].requirement).satisfied
+
+
 def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     g = gs.build()
     gid = f"{gs.label()}-{g.content_hash()}"
@@ -325,142 +332,97 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             (t, k): (SolveResult(t, k, STATUS_RESOURCE, None, None, SearchStats(0, 0, 0.0)), None)
             for t, k in order
         }
-    gamma, gamma_source = cells[PARAM_GAMMA, None]
-    gamma_t, gamma_t_source = cells[PARAM_GAMMA_T, None]
-
-    records: list[CertificationRecord] = []
-    entry_of: dict[tuple[str, int | None], RowEntry] = {}
-    extras: list[str] = []
-    shrink_pool: list[tuple[int, VertexSet, VertexSet]] = []
-
+    gamma = cells[PARAM_GAMMA, None][0]
     d_max = g.max_degree
     d_min = g.min_degree
     connected = is_connected(g)
     diam = diameter(g) if connected else None
-    cubic = is_cubic(g)
-
-    for k in ks:
-        entries: list[RowEntry] = []
-        for target in k_targets:
-            res, source = cells[target, k]
-            reports = bounds_mod.evaluate_all(g, k, target, gamma.value)
-            lower = bounds_mod.best_lower(reports)
-            upper = bounds_mod.best_upper(reports)
-            entry = entry_of[target, k] = RowEntry(
-                target, res.status, res.value, lower, upper, source=source
-            )
-
-            if res.found:
-                # Re-certify through the set-based predicate path.
-                requirement = PARAMETERS[target].requirement
-                if not certify(g, res.witness, k, requirement).satisfied:
-                    entry.violations.append(
-                        f"{gid} k={k} {target}: witness failed re-certification"
-                    )
-                for report in reports:
-                    if not report.applicable:
-                        continue
-                    if report.kind == bounds_mod.KIND_LOWER and res.value < report.value:
-                        entry.violations.append(
-                            f"{gid} k={k} {target}: value {res.value} below "
-                            f"{report.name}={report.value}"
-                        )
-                    if report.kind == bounds_mod.KIND_UPPER and res.value > report.value:
-                        entry.violations.append(
-                            f"{gid} k={k} {target}: value {res.value} above "
-                            f"{report.name}={report.value}"
-                        )
-                if target == PARAM_GAMMA_K_CA and connected:
-                    if diam > res.value + 1:
-                        entry.violations.append(
-                            f"{gid} k={k}: diameter {diam} exceeds |S| + 1 = {res.value + 1}"
-                        )
-            entries.append(entry)
-        records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))
-
-    for k in ks:
-        # The parity lemma as ``bounds`` codes it: the collapsed k must pose
-        # the same problem. Equal values would follow from the memo alone.
-        collapsed = bounds_mod.parity_collapse(g, k)
-        if (
-            collapsed != k
-            and collapsed in ks
-            and requirements(g, collapsed) != requirements(g, k)
-        ):
-            for target in (PARAM_A_K, PARAM_GAMMA_K_A):
-                entry_of[target, k].violations.append(
-                    f"{gid}: {target} differs between parity-equivalent "
-                    f"k={k} and k={collapsed}"
-                )
-
-    if not is_regular(g):
-        if cells[PARAM_GAMMA_K_A, d_max][0].found:
-            entry_of[PARAM_GAMMA_K_A, d_max].violations.append(
-                f"{gid}: nonregular graph admits a global defensive {d_max}-alliance"
-            )
-    elif g.n >= 2:
-        # The top two k of the range; an edgeless graph's range is k = 0 alone.
-        for k in ks[-2:]:
-            res = cells[PARAM_GAMMA_K_A, k][0]
-            if res.status != STATUS_RESOURCE and res.value != g.n:
-                entry_of[PARAM_GAMMA_K_A, k].violations.append(
-                    f"{gid}: regular graph should have gamma_k_a = n at k={k}"
-                )
-
-    # The shrink trade: dropping r vertices may lower the level by 2r but
-    # can save at most r vertices. Below -max degree the level no longer
-    # matters: every dominating set qualifies, as at -max degree itself.
-    if gamma.found:
-        for k in ks:
-            res = cells[PARAM_GAMMA_K_A, k][0]
-            if not res.found:
-                continue
-            w = _min_dominating_subset(g, res.witness, gamma.witness)
-            shrink_pool.append((k, res.witness, w))
-            for r in range(0, res.value - len(w) + 1):
-                lowered = cells[PARAM_GAMMA_K_A, max(k - 2 * r, ks[0])][0].value
-                if lowered is None or lowered + r > res.value:
-                    entry_of[PARAM_GAMMA_K_A, k].violations.append(
-                        f"{gid} k={k} r={r}: shrink inequality fails "
-                        f"(gamma_k_a(k-2r)={lowered})"
-                    )
-
-    # Per-graph rows for the domination parameters.
-    gamma_entry = entry_of[PARAM_GAMMA, None] = RowEntry(
-        PARAM_GAMMA, gamma.status, gamma.value, None, None, source=gamma_source
-    )
-    if gamma.found and not is_dominating(g, gamma.witness):
-        gamma_entry.violations.append(f"{gid}: gamma witness does not dominate")
-    gamma_t_entry = entry_of[PARAM_GAMMA_T, None] = RowEntry(
-        PARAM_GAMMA_T, gamma_t.status, gamma_t.value, None, None, source=gamma_t_source
-    )
-    if gamma_t.found and not is_total_dominating(g, gamma_t.witness):
-        gamma_t_entry.violations.append(f"{gid}: gamma_t witness does not totally dominate")
-    if connected and g.n >= 3 and gamma_t.found and gamma_t.value > (2 * g.n) // 3:
-        gamma_t_entry.violations.append(
-            f"{gid}: gamma_t {gamma_t.value} exceeds floor(2n/3) = {(2 * g.n) // 3}"
-        )
-    records.append(
-        CertificationRecord(gid, gs.family, g.n, g.m, None, [gamma_entry, gamma_t_entry])
-    )
+    regular = is_regular(g)
 
     # Reuse makes the relaxation order hold by construction: a cell is never
     # below a relaxation, and none has a solution where a relaxation has
     # none. So instead of comparing cells, a seeded draw of reused cells,
     # fixed per graph, is solved afresh and must agree in full.
     rng = random.Random(f"{_SAMPLE_SEED}:{gid}")
-    for t, k in rng.sample(reused, min(REUSE_SAMPLES, len(reused))):
-        counts["reuse_resolved"] += 1
-        (got, source), fresh = cells[t, k], solve(g, t, k)
-        have = got.status, got.value, got.witness_members()
-        want = fresh.status, fresh.value, fresh.witness_members()
-        if have != want:
-            entry_of[t, k].violations.append(
-                f"{gid} {_cell_name(t, k)}: reused from {source} as {have}, "
-                f"a fresh solve gives {want}"
+    drawn = set(rng.sample(reused, min(REUSE_SAMPLES, len(reused))))
+    counts["reuse_resolved"] = len(drawn)
+
+    # Every cell is checked where its entry is built, in pass order, one
+    # record per k and one for the domination rows (k = None).
+    records: list[CertificationRecord] = []
+    shrink_pool: list[tuple[int, VertexSet, VertexSet]] = []
+    for k, group in groupby(order, key=lambda cell: cell[1]):
+        # The parity lemma as ``bounds`` codes it: the collapsed k must pose
+        # the same problem. Equal values would follow from the memo alone.
+        collapsed = None if k is None else bounds_mod.parity_collapse(g, k)
+        parity_differs = (
+            collapsed != k and collapsed in ks and requirements(g, collapsed) != requirements(g, k)
+        )
+        entries: list[RowEntry] = []
+        for target, _ in group:
+            res, source = cells[target, k]
+            reports = [] if k is None else bounds_mod.evaluate_all(g, k, target, gamma.value)
+            entry = RowEntry(
+                target, res.status, res.value,
+                bounds_mod.best_lower(reports), bounds_mod.best_upper(reports), source=source,
             )
+            where = f"{gid} {target}" if k is None else f"{gid} k={k} {target}"
+            flag = entry.violations.append
+            if res.found and not _witness_ok(g, res.witness, target, k):
+                flag(f"{where}: witness failed re-certification")
+            # Every catalogue upper bound is constructive (upper_min_degree by
+            # construct_upper_witness, cubic_upper_2gamma by
+            # cubic_augment_dominating), so it also proves an alliance exists.
+            # On a regular graph it meets lower_maxdeg at n for the top two k.
+            for report in reports:
+                if not report.applicable:
+                    continue
+                if report.kind == bounds_mod.KIND_LOWER and res.found and res.value < report.value:
+                    flag(f"{where}: value {res.value} below {report.name}={report.value}")
+                if report.kind == bounds_mod.KIND_UPPER:
+                    if res.found and res.value > report.value:
+                        flag(f"{where}: value {res.value} above {report.name}={report.value}")
+                    elif res.status == STATUS_NONE:
+                        flag(f"{where}: none exists, but {report.name}={report.value} builds one")
+            if target == PARAM_GAMMA_T and res.found and connected and g.n >= 3:
+                if res.value > (2 * g.n) // 3:
+                    flag(f"{gid}: gamma_t {res.value} exceeds floor(2n/3) = {(2 * g.n) // 3}")
+            if target == PARAM_GAMMA_K_CA and res.found and connected:
+                if diam > res.value + 1:
+                    flag(f"{gid} k={k}: diameter {diam} exceeds |S| + 1 = {res.value + 1}")
+            if target in (PARAM_A_K, PARAM_GAMMA_K_A) and parity_differs:
+                flag(f"{gid}: {target} differs between parity-equivalent k={k} and k={collapsed}")
+            if target == PARAM_GAMMA_K_A and res.found:
+                if not regular and k == d_max:
+                    flag(f"{gid}: nonregular graph admits a global defensive {d_max}-alliance")
+                # The shrink trade: dropping r vertices may lower the level
+                # by 2r but can save at most r vertices. Below -max degree
+                # the level no longer matters: every dominating set
+                # qualifies, as at -max degree itself.
+                if gamma.found:
+                    w = _min_dominating_subset(g, res.witness, gamma.witness)
+                    shrink_pool.append((k, res.witness, w))
+                    for r in range(1, res.value - len(w) + 1):
+                        lowered = cells[PARAM_GAMMA_K_A, max(k - 2 * r, ks[0])][0].value
+                        if lowered is None or lowered + r > res.value:
+                            flag(
+                                f"{gid} k={k} r={r}: shrink inequality fails "
+                                f"(gamma_k_a(k-2r)={lowered})"
+                            )
+            if (target, k) in drawn:
+                fresh = solve(g, target, k)
+                have = res.status, res.value, res.witness_members()
+                want = fresh.status, fresh.value, fresh.witness_members()
+                if have != want:
+                    flag(
+                        f"{gid} {_cell_name(target, k)}: reused from {source} as {have}, "
+                        f"a fresh solve gives {want}"
+                    )
+            entries.append(entry)
+        records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))
 
     # Executable constructions.
+    extras: list[str] = []
     counts.update(upper_witness=0, cubic_augment=0)
     for k in ks:
         if k >= d_min:
@@ -476,18 +438,13 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             extras.append(
                 f"{gid} k={k}: upper witness has size {len(witness)}, expected {expected}"
             )
-    if cubic and gamma.found:
+    if is_cubic(g) and gamma.found:
+        # The construction itself raises past 2 * gamma.
         counts["cubic_augment"] += 1
         try:
-            augmented = cubic_augment_dominating(g, gamma.witness)
+            cubic_augment_dominating(g, gamma.witness)
         except ConstructionInvariantError as exc:
             extras.append(f"{gid}: cubic augmentation failed: {exc}")
-        else:
-            if len(augmented) > 2 * gamma.value:
-                extras.append(
-                    f"{gid}: cubic augmentation produced {len(augmented)} vertices, "
-                    f"more than 2*gamma={2 * gamma.value}"
-                )
 
     return _GraphOutcome(g, gid, cells, records, extras, shrink_pool, counts)
 
@@ -577,25 +534,17 @@ def run_corpus(spec: CorpusSpec) -> CorpusResult:
 # Default corpus
 # ---------------------------------------------------------------------------
 
-def _connected_random_graph_spec(n: int, p: float, seed0: int) -> GraphSpec:
-    seed = seed0
-    while True:
-        if is_connected(random_graph(n, p, seed)):
-            return GraphSpec.of("random_graph", n=n, p=p, seed=seed)
-        seed += 1
-
-
-def _connected_cubic_spec(n: int, seed0: int) -> GraphSpec:
-    seed = seed0
-    while True:
+def _connected_spec(family: str, seed: int, **params) -> GraphSpec:
+    """The first seed from ``seed`` on whose graph is connected; a seed
+    ``random_cubic`` cannot draw a graph for is skipped."""
+    for seed in count(seed):
+        spec = GraphSpec.of(family, seed=seed, **params)
         try:
-            g = random_cubic(n, seed)
+            g = spec.build()
         except ValueError:
-            seed += 1
             continue
         if is_connected(g):
-            return GraphSpec.of("random_cubic", n=n, seed=seed)
-        seed += 1
+            return spec
 
 
 def default_corpus_spec() -> CorpusSpec:
@@ -619,11 +568,11 @@ def default_corpus_spec() -> CorpusSpec:
     trees = [GraphSpec.of("random_tree", n=3 + i % 10, seed=i) for i in range(50)]
     cubic_sizes = (6, 8, 10, 12, 14)
     cubics = [
-        _connected_cubic_spec(cubic_sizes[i % len(cubic_sizes)], 100 * i)
+        _connected_spec("random_cubic", 100 * i, n=cubic_sizes[i % len(cubic_sizes)])
         for i in range(30)
     ]
     randoms = [
-        _connected_random_graph_spec(4 + i % 8, (0.3, 0.5)[i % 2], 10000 + 100 * i)
+        _connected_spec("random_graph", 10000 + 100 * i, n=4 + i % 8, p=(0.3, 0.5)[i % 2])
         for i in range(50)
     ]
     return CorpusSpec(graphs=tuple(named + trees + cubics + randoms))

@@ -7,6 +7,7 @@ and bound reports can all hold the same graph without copying it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import itertools
@@ -424,8 +425,10 @@ def _bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+@functools.lru_cache(maxsize=1)
 def diameter(g: Graph) -> int:
-    """Longest shortest-path distance, via all-pairs BFS."""
+    """Longest shortest-path distance, via all-pairs BFS. The last graph's
+    answer is kept, since a certify pass asks once per cell of one graph."""
     best = 0
     for source in range(g.n):
         dist = _bfs_distances(g, source)

@@ -18,6 +18,7 @@ from kalliance.alliances import (
     PARAM_GAMMA_T,
     PARAMETERS,
     ConstructionInvariantError,
+    VertexSet,
 )
 from kalliance.cli import main
 from kalliance.corpus import (
@@ -457,6 +458,45 @@ def test_lower_sqrt_catches_a_value_below_the_size_bound(monkeypatch):
     ), violations
 
 
+def test_a_none_cell_under_a_catalogue_upper_bound_is_reported(monkeypatch):
+    posed = solver.problem(generate("petersen"), PARAM_GAMMA_K_A, 0)
+    real_from = corpus._solve_from
+
+    def none_found(g, parameter, k, key, floor, candidates=()):
+        res = real_from(g, parameter, k, key, floor, candidates)
+        if key != posed:
+            return res
+        # As a search that refuted every size would report it.
+        refuted = solver.SearchStats(1, 0, 0.0)
+        return replace(res, status="none_exists", value=None, witness=None, stats=refuted)
+
+    monkeypatch.setattr(corpus, "_solve_from", none_found)
+    records = _certify_graph(GraphSpec.of("petersen")).records
+    entry = next(e for r in records if r.k == 0 for e in r.entries if e.target == PARAM_GAMMA_K_A)
+    # upper_min_degree applies at k = 0 <= min degree, and construct_upper_witness
+    # builds an alliance of that size, so none_exists contradicts it.
+    assert entry.status == "none_exists"
+    assert any("upper_min_degree" in v for v in entry.violations), entry.violations
+
+
+def test_a_domination_row_witness_is_re_certified(monkeypatch):
+    real_from = corpus._solve_from
+
+    def center_only(g, parameter, k, key, floor, candidates=()):
+        res = real_from(g, parameter, k, key, floor, candidates)
+        if parameter != PARAM_GAMMA_T:
+            return res
+        return replace(res, witness=VertexSet.from_vertices(g, [0]))
+
+    monkeypatch.setattr(corpus, "_solve_from", center_only)
+    records = _certify_graph(GraphSpec.of("star", n=5)).records
+    # On a star gamma_t poses no k cell's problem, so it is solved once, from
+    # gamma; the center alone dominates but has no neighbour inside.
+    entry = next(e for r in records if r.k is None for e in r.entries if e.target == PARAM_GAMMA_T)
+    assert entry.status == "found"
+    assert any("witness failed re-certification" in v for v in entry.violations), entry.violations
+
+
 def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
     monkeypatch.setattr(bounds, "parity_collapse", lambda g, k: k + 1)
     spec = CorpusSpec(graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")))
@@ -479,6 +519,14 @@ def test_default_corpus_csv_matches_the_benchmark_reference(default_corpus):
     _, result = default_corpus
     digest = hashlib.sha256(result.to_csv().encode()).hexdigest()
     assert digest == refs["small-verify"]["default_csv_sha256"]
+
+
+def test_default_corpus_json_report_is_pinned(default_corpus):
+    # The text ``certify --json`` writes: sources, checks_run and violations.
+    _, result = default_corpus
+    text = json.dumps(result.to_json_dict(), indent=2) + "\n"
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "f5ea7efdfebd3aec50a796b7b8b0bbe48a2b1c155b1401a1588625e3bdcd616f"
 
 
 def test_corpus_spec_json_round_trip():

@@ -266,6 +266,15 @@ def test_diameter_errors_on_disconnected():
         diameter(Graph(3, [(0, 1)]))
 
 
+def test_diameter_cache_answers_for_the_graph_asked():
+    cube, pet = hypercube_graph(3), petersen_graph()
+    assert [diameter(g) for g in (cube, cube, pet, cube)] == [3, 3, 2, 3]
+    for _ in range(2):  # an error is never kept as an answer
+        with pytest.raises(ValueError):
+            diameter(Graph(3, [(0, 1)]))
+    assert diameter(cube) == 3
+
+
 def test_predicates():
     assert is_triangle_free(hypercube_graph(3))
     assert not is_triangle_free(complete_graph(3))
