@@ -4,7 +4,9 @@ executable code.
 
 A set S is a defensive k-alliance when every member has at least k more
 neighbors inside S than outside; "global" additionally requires S to
-dominate the graph. All functions here are pure over immutable inputs.
+dominate the graph. ``meets`` is the one definition of each demand; the
+predicates, ``certify``, the oracle and the corpus's re-certification all
+read it. All functions here are pure over immutable inputs.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ PARAMETERS = {row.name: row for row in (
     Parameter(PARAM_GAMMA_T,    "gammat", False, False, True,  False, None),
 )}
 _BY_REQUIREMENT = {row.requirement: row for row in PARAMETERS.values() if row.requirement}
+# The single demands certify reports as verdicts; a_k and gamma each pose one.
+_DEFENSIVE = PARAMETERS[PARAM_A_K].demands
+_DOMINATING = PARAMETERS[PARAM_GAMMA].demands
+_CONNECTED = (False, False, False, True)
 
 
 def lookup_parameter(name: str) -> Parameter:
@@ -176,11 +182,15 @@ class AllianceCertificate:
         }
 
 
-def boundary_degrees(g: Graph, s: VertexSet) -> dict[int, tuple[int, int]]:
-    """For every vertex v, the pair (neighbors inside S, neighbors outside S)."""
+def _member_set(g: Graph, s: VertexSet) -> set[int]:
     if s.graph != g:
         raise ValueError("vertex set is tagged to a different graph")
-    inside_set = set(s.members)
+    return set(s.members)
+
+
+def boundary_degrees(g: Graph, s: VertexSet) -> dict[int, tuple[int, int]]:
+    """For every vertex v, the pair (neighbors inside S, neighbors outside S)."""
+    inside_set = _member_set(g, s)
     out: dict[int, tuple[int, int]] = {}
     for v in range(g.n):
         inside = len(g.adjacency[v] & inside_set)
@@ -188,66 +198,77 @@ def boundary_degrees(g: Graph, s: VertexSet) -> dict[int, tuple[int, int]]:
     return out
 
 
+def meets(g: Graph, members: set[int], k: int, demands: tuple[bool, bool, bool, bool]) -> bool:
+    """Whether the vertex set ``members`` meets ``demands``, a row's
+    ``Parameter.demands``, at level k (read only by the defensive demand).
+
+    This is the one definition of each demand, in plain set arithmetic:
+    defensive, every member has at least k more neighbors inside than
+    outside; dominating, every non-member has a neighbor inside; total,
+    every vertex has a neighbor inside; connected, the members induce one
+    component. The search in ``solver`` poses the same demands its own way,
+    and the oracle checks it against this.
+    """
+    defensive, dominating, total, connected = demands
+    adj = g.adjacency
+    # Plain loops, outside = degree - inside: the oracle asks once per
+    # subset, and generators with set differences doubled its time.
+    if defensive:
+        for v in members:
+            inside = len(adj[v] & members)
+            if inside < len(adj[v]) - inside + k:
+                return False
+    if dominating:
+        for u in range(g.n):
+            if u not in members and not adj[u] & members:
+                return False
+    if total:
+        for v in range(g.n):
+            if not adj[v] & members:
+                return False
+    return not connected or connected_components_of(g, members) == 1
+
+
 def is_defensive_k_alliance(g: Graph, s: VertexSet, k: int) -> bool:
     """Every member of s has at least k more neighbors inside than outside."""
     if len(s) == 0:
         raise ValueError("alliances are nonempty")
-    degrees = boundary_degrees(g, s)
-    return all(degrees[v][0] >= degrees[v][1] + k for v in s)
+    return meets(g, _member_set(g, s), k, _DEFENSIVE)
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
-    """Every vertex outside s has a neighbor in s (false for empty s when n >= 1)."""
-    if s.graph != g:
-        raise ValueError("vertex set is tagged to a different graph")
-    inside_set = set(s.members)
-    if not inside_set:
-        return g.n == 0
-    return all(
-        g.adjacency[u] & inside_set for u in range(g.n) if u not in inside_set
-    )
+    """Every vertex outside s has a neighbor in s (false for empty s)."""
+    return meets(g, _member_set(g, s), 0, _DOMINATING)
 
 
 def is_total_dominating(g: Graph, s: VertexSet) -> bool:
     """Every vertex of the graph, members included, has a neighbor in s."""
-    if s.graph != g:
-        raise ValueError("vertex set is tagged to a different graph")
-    inside_set = set(s.members)
-    return all(g.adjacency[v] & inside_set for v in range(g.n))
+    return meets(g, _member_set(g, s), 0, PARAMETERS[PARAM_GAMMA_T].demands)
 
 
 def certify(
     g: Graph, s: VertexSet, k: int, require: str = REQUIRE_DEFENSIVE
 ) -> AllianceCertificate:
     """Full certificate for s at level k; ``satisfied`` reflects the demands
-    of the parameter whose requirement is ``require``."""
+    of the parameter whose requirement is ``require``. The verdicts come
+    from ``meets``; margins and dominators are the evidence behind them."""
     row = _BY_REQUIREMENT.get(require)
     if row is None:
         raise ValueError(f"unknown requirement {require!r}")
     if len(s) == 0:
         raise ValueError("alliances are nonempty")
     degrees = boundary_degrees(g, s)
-    members = s.members
-    margins = {v: degrees[v][0] - degrees[v][1] - k for v in members}
-    dominators = {u: degrees[u][0] for u in range(g.n) if u not in s}
-    defensive = all(m >= 0 for m in margins.values())
-    dominating = all(c >= 1 for c in dominators.values())
-    connected = connected_components_of(g, members) == 1
-    satisfied = (
-        (defensive or not row.defensive)
-        and (dominating or not row.dominating)
-        and (connected or not row.connected)
-    )
+    members = set(s.members)
     return AllianceCertificate(
         subject=s,
         k=k,
-        margins=margins,
-        dominators=dominators,
-        is_defensive=defensive,
-        is_dominating=dominating,
-        is_connected_induced=connected,
+        margins={v: degrees[v][0] - degrees[v][1] - k for v in s.members},
+        dominators={u: degrees[u][0] for u in range(g.n) if u not in members},
+        is_defensive=meets(g, members, k, _DEFENSIVE),
+        is_dominating=meets(g, members, k, _DOMINATING),
+        is_connected_induced=meets(g, members, k, _CONNECTED),
         requirement=require,
-        satisfied=satisfied,
+        satisfied=meets(g, members, k, row.demands),
     )
 
 

@@ -16,7 +16,8 @@ from . import bounds as bounds_mod
 from .alliances import PARAMETERS, VertexSet, certify
 from .corpus import default_corpus_spec, load_corpus_spec, run_corpus
 from .graphs import (
-    _FAMILY_PARAMS,
+    FAMILIES,
+    PARAM_TYPES,
     Graph,
     ParseError,
     connected_components_of,
@@ -66,14 +67,8 @@ def _warn_k_range(g: Graph, k: int):
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for name in ("n", "a", "b", "d", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-    if args.p is not None:
-        params["p"] = args.p
-    if "seed" in _FAMILY_PARAMS[args.family]:
+    params = {name: getattr(args, name) for name in PARAM_TYPES if getattr(args, name) is not None}
+    if "seed" in FAMILIES[args.family][1]:
         params.setdefault("seed", 0)
     g = generate(args.family, **params)
     _write_text(args.output, to_edge_list(g))
@@ -206,13 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit an edge list for a named graph family")
-    gen.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--a", type=int)
-    gen.add_argument("--b", type=int)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    for name, kind in PARAM_TYPES.items():
+        gen.add_argument(f"--{name}", type=kind)
     gen.add_argument("-o", "--output")
     gen.set_defaults(func=_cmd_gen)
 
@@ -249,18 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ParseError and JSONDecodeError are both ValueErrors: a ParseError exits
+    # 3, so its clause comes first, and a JSONDecodeError exits 2.
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (ResourceLimitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -98,11 +98,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range")
-        return self.adjacency[v]
-
     @property
     def max_degree(self) -> int:
         return max(self.degrees)
@@ -205,6 +200,9 @@ def to_edge_list(g: Graph) -> str:
 # Generators
 # ---------------------------------------------------------------------------
 
+CUBIC_ATTEMPTS = 1000  # draws of three matchings before random_cubic gives up
+
+
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
@@ -296,16 +294,16 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_cubic(n: int, seed: int, *, retries: int = 1000) -> Graph:
+def random_cubic(n: int, seed: int) -> Graph:
     """3-regular graph as a union of three perfect matchings.
 
     Attempts producing a multi-edge are rejected wholesale; gives up after
-    the retry budget.
+    ``CUBIC_ATTEMPTS`` of them.
     """
     if n % 2 != 0 or n < 4:
         raise ValueError("cubic generation requires even n >= 4")
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(CUBIC_ATTEMPTS):
         edges: set[tuple[int, int]] = set()
         ok = True
         for _ in range(3):
@@ -322,29 +320,32 @@ def random_cubic(n: int, seed: int, *, retries: int = 1000) -> Graph:
                 break
         if ok:
             return Graph(n, sorted(edges))
-    raise ValueError(f"could not assemble a simple cubic graph in {retries} attempts")
+    raise ValueError(f"could not assemble a simple cubic graph in {CUBIC_ATTEMPTS} attempts")
 
 
-_FAMILY_PARAMS = {
-    "complete": ("n",),
-    "complete_bipartite": ("a", "b"),
-    "star": ("n",),
-    "path": ("n",),
-    "cycle": ("n",),
-    "hypercube": ("d",),
-    "petersen": (),
-    "random_tree": ("n", "seed"),
-    "random_graph": ("n", "p", "seed"),
-    "random_cubic": ("n", "seed"),
+# Each family's builder and its parameter names, in order: the builder's keywords.
+FAMILIES = {
+    "complete": (complete_graph, ("n",)),
+    "complete_bipartite": (complete_bipartite_graph, ("a", "b")),
+    "star": (star_graph, ("n",)),
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "hypercube": (hypercube_graph, ("d",)),
+    "petersen": (petersen_graph, ()),
+    "random_tree": (random_tree, ("n", "seed")),
+    "random_graph": (random_graph, ("n", "p", "seed")),
+    "random_cubic": (random_cubic, ("n", "seed")),
 }
+# Every family parameter is an integer but the edge probability.
+PARAM_TYPES = {"n": int, "a": int, "b": int, "d": int, "p": float, "seed": int}
 
 
 def family_params(family, params) -> tuple[str, ...]:
     """The parameter names of ``family`` in order; raises ``ValueError`` for
     an unknown family or a missing or unexpected parameter."""
-    if not isinstance(family, str) or family not in _FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown graph family {family!r}")
-    expected = _FAMILY_PARAMS[family]
+    expected = FAMILIES[family][1]
     missing = [name for name in expected if name not in params]
     extra = [name for name in params if name not in expected]
     if missing or extra:
@@ -358,19 +359,7 @@ def family_params(family, params) -> tuple[str, ...]:
 def generate(family: str, **params) -> Graph:
     """Build a named graph family; rejects unknown families and stray parameters."""
     family_params(family, params)
-    builders = {
-        "complete": lambda: complete_graph(params["n"]),
-        "complete_bipartite": lambda: complete_bipartite_graph(params["a"], params["b"]),
-        "star": lambda: star_graph(params["n"]),
-        "path": lambda: path_graph(params["n"]),
-        "cycle": lambda: cycle_graph(params["n"]),
-        "hypercube": lambda: hypercube_graph(params["d"]),
-        "petersen": petersen_graph,
-        "random_tree": lambda: random_tree(params["n"], params["seed"]),
-        "random_graph": lambda: random_graph(params["n"], params["p"], params["seed"]),
-        "random_cubic": lambda: random_cubic(params["n"], params["seed"]),
-    }
-    return builders[family]()
+    return FAMILIES[family][0](**params)
 
 
 # ---------------------------------------------------------------------------

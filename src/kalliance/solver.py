@@ -9,8 +9,8 @@ whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
 that way; total domination is the dominating problem in which each member
 needs one. The oracle shares no search code with ``solve``: it walks every
-nonempty subset with ``itertools.combinations`` and checks the table's
-demands, total domination included, with plain set arithmetic.
+nonempty subset with ``itertools.combinations`` and asks ``alliances.meets``,
+the one definition of each demand, whether the subset meets its row's.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .alliances import Parameter, VertexSet, lookup_parameter
+from .alliances import Parameter, VertexSet, lookup_parameter, meets
 from .graphs import Graph
 
 STATUS_FOUND = "found"
@@ -485,36 +485,6 @@ def solve(
 # Independent oracle
 # ---------------------------------------------------------------------------
 
-def _naive_feasible(nbrs, n, members, k, needs) -> bool:
-    needs_def, needs_dom, needs_tot, needs_conn = needs
-    if needs_def:
-        for v in members:
-            inside = len(nbrs[v] & members)
-            outside = len(nbrs[v]) - inside
-            if inside < outside + k:
-                return False
-    if needs_dom:
-        for u in range(n):
-            if u not in members and not (nbrs[u] & members):
-                return False
-    if needs_tot:
-        for u in range(n):
-            if not (nbrs[u] & members):
-                return False
-    if needs_conn:
-        seen = {min(members)}
-        stack = [min(members)]
-        while stack:
-            v = stack.pop()
-            for u in nbrs[v] & members:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if seen != members:
-            return False
-    return True
-
-
 def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveResult:
     """Unpruned cardinality-then-lex enumeration of all nonempty subsets."""
     row = _validate_parameter(parameter, k)
@@ -522,13 +492,12 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
         raise ResourceLimitError(f"oracle is capped at n <= {ORACLE_MAX_N}")
     start = time.perf_counter()
     k_eff = k if k is not None else 0
-    needs = row.demands
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    demands = row.demands
     examined = 0
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             examined += 1
-            if _naive_feasible(nbrs, g.n, set(combo), k_eff, needs):
+            if meets(g, set(combo), k_eff, demands):
                 return SolveResult(
                     parameter, k, STATUS_FOUND, size,
                     VertexSet.from_vertices(g, combo),

@@ -12,6 +12,7 @@ from kalliance.alliances import (
     is_defensive_k_alliance,
     is_dominating,
     is_total_dominating,
+    meets,
     shrink_to_lower_k,
 )
 from kalliance.graphs import (
@@ -22,7 +23,7 @@ from kalliance.graphs import (
     petersen_graph,
     star_graph,
 )
-from kalliance.solver import _naive_feasible, _Search, problem
+from kalliance.solver import _Search, problem
 
 from .strategies import graphs, graphs_with_subset, small_k
 
@@ -95,6 +96,20 @@ def test_domination_examples():
     assert not is_total_dominating(complete_graph(1), VertexSet.full(complete_graph(1)))
 
 
+def test_meets_reads_each_demand():
+    p4 = path_graph(4)  # 0 - 1 - 2 - 3
+    gamma, gamma_t = PARAMETERS["gamma"].demands, PARAMETERS["gamma_t"].demands
+    connected = (False, False, False, True)
+    # 1 and 2 each have one neighbour inside and one outside.
+    assert meets(p4, {1, 2}, 0, PARAMETERS["gamma_k_ca"].demands)
+    assert not meets(p4, {1, 2}, 1, PARAMETERS["a_k"].demands)
+    assert meets(p4, {0, 3}, 0, gamma)
+    assert not meets(p4, {0, 1}, 0, gamma)  # 3 has no neighbour inside
+    assert not meets(p4, {0, 3}, 0, gamma_t)  # nor has 0
+    assert meets(p4, {1, 2}, 0, gamma_t)
+    assert not meets(p4, {0, 3}, 0, connected)
+
+
 def test_certify_cube_face_is_global_connected():
     cert = certify(Q3, FACE, 0, "global_connected")
     assert cert.is_defensive and cert.is_dominating and cert.is_connected_induced
@@ -164,27 +179,23 @@ def test_dominating_sets_certify_at_minus_max_degree(gs):
 @settings(max_examples=200)
 @given(graphs_with_subset(max_n=7), small_k())
 def test_parameter_table_verdicts_match_the_oracle(gs, k):
-    # certify, the predicates and the solver's leaf test (its prune rules
-    # with no slots left) read each row's demands their own way; the oracle
-    # checks the same row's definitions with plain set arithmetic.
+    # The solver's leaf test (its prune rules with no slots left) poses each
+    # row's demands its own way; ``meets``, which the oracle reads, is their
+    # one definition. The certificate's per-vertex evidence, counted apart
+    # from ``meets``, must agree with the verdicts it reports.
     g, s = gs
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
     members = set(s.members)
     for name, row in PARAMETERS.items():
-        expected = _naive_feasible(nbrs, g.n, members, k, row.demands)
-        if row.requirement is not None:
-            got = certify(g, s, k, row.requirement).satisfied
-        elif row.total:
-            got = is_total_dominating(g, s)
-        else:
-            got = is_dominating(g, s)
-        assert got == expected, (name, g.edges, s.members, k)
+        expected = meets(g, members, k, row.demands)
         search = _Search(g, problem(g, name, k if row.takes_k else None))
         cover = 0
         for v in members:
             cover |= search.serve[v]
         leaf = search._prune(s.bits, cover, max(members) + 1, 0) is None
         assert leaf == expected, (name, g.edges, s.members, k)
+    cert = certify(g, s, k, "global")
+    assert cert.is_defensive == all(m >= 0 for m in cert.margins.values())
+    assert cert.is_dominating == all(c >= 1 for c in cert.dominators.values())
 
 
 @given(graphs_with_subset(max_n=7), small_k())

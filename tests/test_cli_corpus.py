@@ -42,6 +42,11 @@ from kalliance.solver import k_range, solve
 from .strategies import graphs
 
 
+def benchmark_refs() -> dict:
+    """The benchmark's recorded outputs, read only."""
+    return json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -204,6 +209,8 @@ def test_paper_suite_passes(capsys):
     code, out, _ = run_cli(capsys, "paper-suite")
     assert code == 0
     assert "FAIL" not in out
+    checks = benchmark_refs()["small-verify"]["paper_suite_checks"]
+    assert out.splitlines()[-1] == f"{checks}/{checks} checks passed"
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +504,28 @@ def test_a_domination_row_witness_is_re_certified(monkeypatch):
     assert any("witness failed re-certification" in v for v in entry.violations), entry.violations
 
 
+def test_a_nonregular_graph_top_witness_fails_re_certification(monkeypatch):
+    real_reuse = corpus._reuse_relaxations
+
+    def whole_set(g, target, k, posed, relaxations):
+        if (target, k) != (PARAM_GAMMA_K_A, 4):
+            return real_reuse(g, target, k, posed, relaxations)
+        found = solver.SolveResult(
+            target, k, "found", g.n, VertexSet.full(g), solver.SearchStats(0, 0, 0.0)
+        )
+        return found, None, "fresh"
+
+    # The none of a_k at k = 4 would decide this cell, so it is forced here,
+    # not in ``_solve_from``.
+    monkeypatch.setattr(corpus, "_reuse_relaxations", whole_set)
+    records = _certify_graph(GraphSpec.of("star", n=5)).records
+    entry = next(e for r in records if r.k == 4 for e in r.entries if e.target == PARAM_GAMMA_K_A)
+    # V meets lower_maxdeg = n at k = max degree, but a leaf's margin is 1 - 0 - 4.
+    assert (entry.status, entry.value) == ("found", 5)
+    assert any("witness failed re-certification" in v for v in entry.violations), entry.violations
+    assert not any("lower_maxdeg" in v for v in entry.violations), entry.violations
+
+
 def test_parity_check_flags_a_collapse_to_another_problem(monkeypatch):
     monkeypatch.setattr(bounds, "parity_collapse", lambda g, k: k + 1)
     spec = CorpusSpec(graphs=(GraphSpec.of("path", n=6), GraphSpec.of("petersen")))
@@ -515,10 +544,9 @@ def test_corpus_csv_is_deterministic():
 
 
 def test_default_corpus_csv_matches_the_benchmark_reference(default_corpus):
-    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "refs.json").read_text())
     _, result = default_corpus
     digest = hashlib.sha256(result.to_csv().encode()).hexdigest()
-    assert digest == refs["small-verify"]["default_csv_sha256"]
+    assert digest == benchmark_refs()["small-verify"]["default_csv_sha256"]
 
 
 def test_default_corpus_json_report_is_pinned(default_corpus):
