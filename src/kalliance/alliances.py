@@ -5,8 +5,10 @@ executable code.
 A set S is a defensive k-alliance when every member has at least k more
 neighbors inside S than outside; "global" additionally requires S to
 dominate the graph. ``meets`` is the one definition of each demand; the
-predicates, ``certify``, the oracle and the corpus's re-certification all
-read it. All functions here are pure over immutable inputs.
+predicates, ``certify``, the constructions, the oracle and the corpus's
+re-certification all read it. Vertex sets are bitmasks, as in ``graphs``;
+``VertexSet`` tags one with its graph. All functions here are pure over
+immutable inputs.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ _BY_REQUIREMENT = {row.requirement: row for row in PARAMETERS.values() if row.re
 _DEFENSIVE = PARAMETERS[PARAM_A_K].demands
 _DOMINATING = PARAMETERS[PARAM_GAMMA].demands
 _CONNECTED = (False, False, False, True)
+# What every construction re-certifies its set as.
+_GLOBAL = PARAMETERS[PARAM_GAMMA_K_A].demands
 
 
 def lookup_parameter(name: str) -> Parameter:
@@ -141,9 +145,6 @@ class VertexSet:
         self._check_same_graph(other)
         return VertexSet(self.graph, self.bits & ~other.bits)
 
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.graph, ~self.bits & ((1 << self.graph.n) - 1))
-
     def issubset(self, other: "VertexSet") -> bool:
         self._check_same_graph(other)
         return self.bits & ~other.bits == 0
@@ -182,50 +183,52 @@ class AllianceCertificate:
         }
 
 
-def _member_set(g: Graph, s: VertexSet) -> set[int]:
+def _member_bits(g: Graph, s: VertexSet) -> int:
     if s.graph != g:
         raise ValueError("vertex set is tagged to a different graph")
-    return set(s.members)
+    return s.bits
 
 
 def boundary_degrees(g: Graph, s: VertexSet) -> dict[int, tuple[int, int]]:
     """For every vertex v, the pair (neighbors inside S, neighbors outside S)."""
-    inside_set = _member_set(g, s)
+    members = _member_bits(g, s)
     out: dict[int, tuple[int, int]] = {}
-    for v in range(g.n):
-        inside = len(g.adjacency[v] & inside_set)
+    for v, a in enumerate(g.adjacency):
+        inside = (a & members).bit_count()
         out[v] = (inside, g.degrees[v] - inside)
     return out
 
 
-def meets(g: Graph, members: set[int], k: int, demands: tuple[bool, bool, bool, bool]) -> bool:
-    """Whether the vertex set ``members`` meets ``demands``, a row's
+def meets(g: Graph, members: int, k: int, demands: tuple[bool, bool, bool, bool]) -> bool:
+    """Whether the vertex bitmask ``members`` meets ``demands``, a row's
     ``Parameter.demands``, at level k (read only by the defensive demand).
 
-    This is the one definition of each demand, in plain set arithmetic:
-    defensive, every member has at least k more neighbors inside than
-    outside; dominating, every non-member has a neighbor inside; total,
-    every vertex has a neighbor inside; connected, the members induce one
-    component. The search in ``solver`` poses the same demands its own way,
-    and the oracle checks it against this.
+    This is the one definition of each demand: defensive, every member has
+    at least k more neighbors inside than outside; dominating, every
+    non-member has a neighbor inside; total, every vertex has a neighbor
+    inside; connected, the members induce one component. The search in
+    ``solver`` poses the same demands its own way, and the oracle checks it
+    against this.
     """
     defensive, dominating, total, connected = demands
     adj = g.adjacency
-    # Plain loops, outside = degree - inside: the oracle asks once per
-    # subset, and generators with set differences doubled its time.
-    if defensive:
-        for v in members:
-            inside = len(adj[v] & members)
-            if inside < len(adj[v]) - inside + k:
+    deg = g.degrees
+    reach = 0  # every neighbour of a member
+    m = members
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        if defensive:
+            inside = (adj[v] & members).bit_count()
+            if inside < deg[v] - inside + k:
                 return False
-    if dominating:
-        for u in range(g.n):
-            if u not in members and not adj[u] & members:
-                return False
-    if total:
-        for v in range(g.n):
-            if not adj[v] & members:
-                return False
+        reach |= adj[v]
+    full = (1 << g.n) - 1
+    if dominating and reach | members != full:
+        return False
+    if total and reach != full:
+        return False
     return not connected or connected_components_of(g, members) == 1
 
 
@@ -233,17 +236,17 @@ def is_defensive_k_alliance(g: Graph, s: VertexSet, k: int) -> bool:
     """Every member of s has at least k more neighbors inside than outside."""
     if len(s) == 0:
         raise ValueError("alliances are nonempty")
-    return meets(g, _member_set(g, s), k, _DEFENSIVE)
+    return meets(g, _member_bits(g, s), k, _DEFENSIVE)
 
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """Every vertex outside s has a neighbor in s (false for empty s)."""
-    return meets(g, _member_set(g, s), 0, _DOMINATING)
+    return meets(g, _member_bits(g, s), 0, _DOMINATING)
 
 
 def is_total_dominating(g: Graph, s: VertexSet) -> bool:
     """Every vertex of the graph, members included, has a neighbor in s."""
-    return meets(g, _member_set(g, s), 0, PARAMETERS[PARAM_GAMMA_T].demands)
+    return meets(g, _member_bits(g, s), 0, PARAMETERS[PARAM_GAMMA_T].demands)
 
 
 def certify(
@@ -258,12 +261,12 @@ def certify(
     if len(s) == 0:
         raise ValueError("alliances are nonempty")
     degrees = boundary_degrees(g, s)
-    members = set(s.members)
+    members = s.bits
     return AllianceCertificate(
         subject=s,
         k=k,
         margins={v: degrees[v][0] - degrees[v][1] - k for v in s.members},
-        dominators={u: degrees[u][0] for u in range(g.n) if u not in members},
+        dominators={u: degrees[u][0] for u in range(g.n) if not members >> u & 1},
         is_defensive=meets(g, members, k, _DEFENSIVE),
         is_dominating=meets(g, members, k, _DOMINATING),
         is_connected_induced=meets(g, members, k, _CONNECTED),
@@ -281,7 +284,7 @@ def shrink_to_lower_k(
     Drops the lexicographically smallest r-subset of s minus w; the result is
     re-certified as a global defensive (k-2r)-alliance before returning.
     """
-    if not certify(g, s, k, REQUIRE_GLOBAL).satisfied:
+    if not meets(g, _member_bits(g, s), k, _GLOBAL):
         raise ValueError("s must be a global defensive k-alliance")
     if not w.issubset(s):
         raise ValueError("w must be a subset of s")
@@ -289,10 +292,9 @@ def shrink_to_lower_k(
         raise ValueError("w must be a dominating set")
     if not 0 <= r <= len(s) - len(w):
         raise ValueError(f"r must lie in [0, {len(s) - len(w)}]")
-    removable = sorted(set(s.members) - set(w.members))
-    dropped = VertexSet.from_vertices(g, removable[:r])
-    result = s.difference(dropped)
-    if not certify(g, result, k - 2 * r, REQUIRE_GLOBAL).satisfied:
+    removable = s.difference(w).members
+    result = s.difference(VertexSet.from_vertices(g, removable[:r]))
+    if not meets(g, result.bits, k - 2 * r, _GLOBAL):
         raise ConstructionInvariantError(
             "shrunken set failed to certify as a global defensive "
             f"({k - 2 * r})-alliance"
@@ -309,7 +311,7 @@ def construct_upper_witness(g: Graph, k: int) -> VertexSet:
     d_min = g.min_degree
     if k >= d_min:
         full = VertexSet.full(g)
-        if k == d_min and not certify(g, full, k, REQUIRE_GLOBAL).satisfied:
+        if k == d_min and not meets(g, full.bits, k, _GLOBAL):
             raise ConstructionInvariantError("whole vertex set failed to certify")
         return full
     drop_count = (d_min - k) // 2
@@ -319,10 +321,11 @@ def construct_upper_witness(g: Graph, k: int) -> VertexSet:
             f"k={k} is too far below the degree range: the construction would "
             f"remove {drop_count} neighbors but only {d_max} are available"
         )
-    hub = min(v for v in range(g.n) if g.degrees[v] == d_max)
-    dropped = sorted(g.adjacency[hub])[:drop_count]
-    result = VertexSet.full(g).difference(VertexSet.from_vertices(g, dropped))
-    if not certify(g, result, k, REQUIRE_GLOBAL).satisfied:
+    hub = kept = g.adjacency[g.degrees.index(d_max)]
+    for _ in range(drop_count):
+        kept &= kept - 1  # drops the lowest neighbour left
+    result = VertexSet.full(g).difference(VertexSet(g, hub ^ kept))
+    if not meets(g, result.bits, k, _GLOBAL):
         raise ConstructionInvariantError(
             f"witness of size {len(result)} failed to certify as a global "
             f"defensive {k}-alliance"
@@ -341,15 +344,15 @@ def cubic_augment_dominating(g: Graph, s: VertexSet) -> VertexSet:
         raise ValueError("graph is not cubic")
     if not is_dominating(g, s):
         raise ValueError("s must be a dominating set")
-    inside_set = set(s.members)
-    adopted = []
+    adopted = 0
     for v in s:
-        if not g.adjacency[v] & inside_set:
-            adopted.append(min(g.adjacency[v] - inside_set))
-    result = s.union(VertexSet.from_vertices(g, adopted))
+        outside = g.adjacency[v] & ~s.bits
+        if outside == g.adjacency[v]:
+            adopted |= outside & -outside
+    result = s.union(VertexSet(g, adopted))
     if len(result) > 2 * len(s):
         raise ConstructionInvariantError("augmented set exceeded twice the input size")
-    if not certify(g, result, -1, REQUIRE_GLOBAL).satisfied:
+    if not meets(g, result.bits, -1, _GLOBAL):
         raise ConstructionInvariantError(
             "augmented set failed to certify as a global defensive (-1)-alliance"
         )

@@ -22,7 +22,6 @@ from .alliances import (
 )
 from .graphs import (
     Graph,
-    connected_components_of,
     diameter,
     induced_subgraph,
     is_connected,
@@ -214,12 +213,9 @@ def induced_face_count(g: Graph, members) -> int:
     """Face count of the induced subgraph under the caller's planarity
     assertion, derived from the edge/vertex balance of a connected planar
     graph. Raises if the induced subgraph is disconnected."""
-    ordered = sorted(set(members))
-    if not ordered:
-        raise ValueError("face count needs a nonempty vertex set")
-    if connected_components_of(g, ordered) != 1:
+    sub = induced_subgraph(g, members)
+    if not is_connected(sub):
         raise ValueError("face count needs a connected induced subgraph")
-    sub = induced_subgraph(g, ordered)
     return sub.m - sub.n + 2
 
 

@@ -29,7 +29,7 @@ from .graphs import (
     to_edge_list,
 )
 from .known_values import run_known_value_checks
-from .solver import ResourceLimitError, brute_force_oracle, k_range, solve
+from .solver import ResourceLimitError, brute_force_oracle, cells, k_range, solve
 
 _BY_ALIAS = {row.alias: row for row in PARAMETERS.values()}
 
@@ -103,7 +103,7 @@ def _cmd_bounds(args) -> int:
     members = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
     subject = VertexSet.from_vertices(g, members)
     cert = certify(g, subject, args.k, row.requirement)
-    components = connected_components_of(g, members)
+    components = connected_components_of(g, subject.bits)
     if is_tree(g):
         reports.append(bounds_mod.tree_lower(g.n, components, args.k))
     if g.asserted_planar:
@@ -165,13 +165,8 @@ def _cmd_oracle_check(args) -> int:
                 f"{slow.witness_members()}"
             )
 
-    for k in ks:
-        for target, row in PARAMETERS.items():
-            if row.takes_k:
-                compare(target, k)
-    for target, row in PARAMETERS.items():
-        if not row.takes_k:
-            compare(target, None)
+    for target, k in cells(g):
+        compare(target, k)
     for line in mismatches:
         print(f"mismatch: {line}", file=sys.stderr)
     print(

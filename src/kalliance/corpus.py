@@ -45,6 +45,7 @@ from .solver import (
     ResourceLimitError,
     SearchStats,
     SolveResult,
+    cells as cell_order,
     k_range,
     _solve_from,
     problem,
@@ -224,7 +225,7 @@ def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> 
         return gamma_witness
     pool = s.members
     full = (1 << g.n) - 1
-    closed = [(1 << v) | g.adjacency_bits[v] for v in pool]
+    closed = [(1 << v) | g.adjacency[v] for v in pool]
     for size in range(1, len(pool) + 1):
         for combo in combinations(range(len(pool)), size):
             cover = 0
@@ -280,8 +281,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     g = gs.build()
     gid = f"{gs.label()}-{g.content_hash()}"
     ks = k_range(g)
-    k_targets = [t for t, row in PARAMETERS.items() if row.takes_k]
-    order = [(t, k) for k in ks for t in k_targets] + [(PARAM_GAMMA, None), (PARAM_GAMMA_T, None)]
+    order = cell_order(g)
 
     # Cells that pose the same problem (gamma is gamma_k_a at k = -max
     # degree, and on a cubic graph gamma_t is gamma_k_a at k = -2 and -1)
@@ -355,7 +355,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             where = f"{gid} {target}" if k is None else f"{gid} k={k} {target}"
             flag = entry.violations.append
             demands = PARAMETERS[target].demands
-            if res.found and not meets(g, set(res.witness.members), k or 0, demands):
+            if res.found and not meets(g, res.witness.bits, k or 0, demands):
                 flag(f"{where}: witness failed re-certification")
             # Every catalogue upper bound is constructive (upper_min_degree by
             # construct_upper_witness, cubic_upper_2gamma by
@@ -450,14 +450,14 @@ def _forest_identity_check(outcomes: list[_GraphOutcome], samples: int, rng) -> 
     for i in range(samples):
         g = trees[rng.randrange(len(trees))]
         mask = rng.randrange(1, 1 << g.n)
-        members = [v for v in range(g.n) if (mask >> v) & 1]
-        member_set = set(members)
-        inside_sum = sum(len(g.adjacency[v] & member_set) for v in members)
-        c = connected_components_of(g, members)
-        if inside_sum != 2 * (len(members) - c):
+        size = mask.bit_count()
+        inside_sum = sum(
+            (a & mask).bit_count() for v, a in enumerate(g.adjacency) if mask >> v & 1
+        )
+        c = connected_components_of(g, mask)
+        if inside_sum != 2 * (size - c):
             problems.append(
-                f"forest identity sample {i}: sum={inside_sum}, "
-                f"|S|={len(members)}, c={c}"
+                f"forest identity sample {i}: sum={inside_sum}, |S|={size}, c={c}"
             )
     return problems
 

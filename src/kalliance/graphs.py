@@ -1,8 +1,10 @@
 """Immutable simple-graph core: construction, generators, structural queries.
 
-Vertices are dense integers ``0..n-1`` so vertex subsets can travel as
-bitmasks. Graphs never change after construction, so vertex sets, searches
-and bound reports can all hold the same graph without copying it.
+Vertices are dense integers ``0..n-1``, and a vertex set is a bitmask whose
+bit v is set when v is a member. ``Graph.adjacency`` holds each vertex's
+neighbours in that format, and the queries here take vertex sets in it.
+Graphs never change after construction, so vertex sets, searches and bound
+reports can all hold the same graph without copying it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class ParseError(ValueError):
 class Graph:
     """Simple undirected graph, immutable after construction.
 
-    Equality and hashing are structural on ``(n, edges)``; the provenance
+    ``adjacency[v]`` is the bitmask of v's neighbours. Equality and
+    hashing are structural on ``(n, edges)``; the provenance
     flag ``asserted_planar`` is set only by generators or an explicit caller
     assertion and does not affect equality. Structural properties such as
     being a tree are computed (``is_tree``), not carried as flags.
@@ -32,7 +35,6 @@ class Graph:
         "n",
         "edges",
         "adjacency",
-        "adjacency_bits",
         "degrees",
         "asserted_planar",
     )
@@ -47,8 +49,7 @@ class Graph:
         if not isinstance(n, int) or n < 1:
             raise ValueError("graph order must be a positive integer")
         canon: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        nbrs: list[set[int]] = [set() for _ in range(n)]
+        bits = [0] * n
         for edge in edges:
             u, v = edge
             if not (0 <= u < n and 0 <= v < n):
@@ -56,17 +57,12 @@ class Graph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
+            if bits[u] >> v & 1:
                 raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
             canon.append(key)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        canon.sort()
-        bits = [0] * n
-        for u, v in canon:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        canon.sort()
 
         if asserted_planar and n >= 3 and len(canon) > 3 * (n - 2):
             raise ValueError(
@@ -75,9 +71,8 @@ class Graph:
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(canon))
-        object.__setattr__(self, "adjacency", tuple(frozenset(s) for s in nbrs))
-        object.__setattr__(self, "adjacency_bits", tuple(bits))
-        object.__setattr__(self, "degrees", tuple(len(s) for s in nbrs))
+        object.__setattr__(self, "adjacency", tuple(bits))
+        object.__setattr__(self, "degrees", tuple([b.bit_count() for b in bits]))
         object.__setattr__(self, "asserted_planar", bool(asserted_planar))
 
     def __setattr__(self, name, value):
@@ -114,21 +109,6 @@ class Graph:
         """Order-independent identity over (n, sorted edge list)."""
         payload = f"{self.n}|" + ",".join(f"{u}-{v}" for u, v in self.edges)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
-
-
-def _component_count(nbrs, vertices) -> int:
-    remaining = set(vertices)
-    count = 0
-    while remaining:
-        count += 1
-        stack = [remaining.pop()]
-        while stack:
-            v = stack.pop()
-            for u in nbrs[v]:
-                if u in remaining:
-                    remaining.remove(u)
-                    stack.append(u)
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +367,54 @@ def line_graph(g: Graph) -> tuple[Graph, dict[tuple[int, int], int]]:
 
 
 def is_connected(g: Graph) -> bool:
-    return _component_count(g.adjacency, range(g.n)) == 1
+    return connected_components_of(g, (1 << g.n) - 1) == 1
 
 
-def connected_components_of(g: Graph, members: Iterable[int]) -> int:
-    """Number of connected components of the subgraph induced by ``members``."""
-    subset = set(members)
-    for v in subset:
-        if not 0 <= v < g.n:
-            raise IndexError(f"vertex {v} out of range")
-    return _component_count(g.adjacency, subset)
-
-
-def _bfs_distances(g: Graph, source: int) -> list[int]:
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.adjacency[v]:
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+def connected_components_of(g: Graph, mask: int) -> int:
+    """Number of connected components of the subgraph induced by the vertex
+    bitmask ``mask``."""
+    if mask < 0 or mask >> g.n:
+        raise IndexError(f"vertex bitmask {mask:#x} out of range for order {g.n}")
+    adj = g.adjacency
+    count = 0
+    while mask:
+        count += 1
+        frontier = mask & -mask
+        mask ^= frontier
+        while frontier:
+            near = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                near |= adj[b.bit_length() - 1]
+            frontier = near & mask
+            mask ^= frontier
+    return count
 
 
 @functools.lru_cache(maxsize=1)
 def diameter(g: Graph) -> int:
-    """Longest shortest-path distance, via all-pairs BFS. The last graph's
-    answer is kept, since a certify pass asks once per cell of one graph."""
+    """Longest shortest-path distance, via one BFS per source. The last
+    graph's answer is kept, since a certify pass asks once per cell of one
+    graph."""
+    adj = g.adjacency
+    full = (1 << g.n) - 1
     best = 0
     for source in range(g.n):
-        dist = _bfs_distances(g, source)
-        if min(dist) < 0:
+        reached = frontier = 1 << source
+        depth = -1  # the distance of the last nonempty frontier
+        while frontier:
+            depth += 1
+            near = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                near |= adj[b.bit_length() - 1]
+            frontier = near & ~reached
+            reached |= frontier
+        if reached != full:
             raise ValueError("diameter undefined for a disconnected graph")
-        best = max(best, max(dist))
+        best = max(best, depth)
     return best
 
 

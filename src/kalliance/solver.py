@@ -9,8 +9,9 @@ whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
 that way; total domination is the dominating problem in which each member
 needs one. The oracle shares no search code with ``solve``: it walks every
-nonempty subset with ``itertools.combinations`` and asks ``alliances.meets``,
-the one definition of each demand, whether the subset meets its row's.
+nonempty subset, as a sum of single-bit masks drawn by
+``itertools.combinations``, and asks ``alliances.meets``, the one definition
+of each demand, whether the subset meets its row's.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import time
 from dataclasses import dataclass
 
-from .alliances import Parameter, VertexSet, lookup_parameter, meets
+from .alliances import PARAMETERS, Parameter, VertexSet, lookup_parameter, meets
 from .graphs import Graph
 
 STATUS_FOUND = "found"
@@ -96,6 +97,16 @@ def k_range(g: Graph) -> range:
     defensive k-alliance at all."""
     d = g.max_degree
     return range(-d, d + 1)
+
+
+def cells(g: Graph) -> list[tuple[str, int | None]]:
+    """Every cell ``(parameter, k)`` of ``g``, in the order the corpus and
+    ``oracle-check`` walk them: at each k of ``k_range(g)`` every row that
+    takes k, then the rows without k, with k None."""
+    k_rows = [name for name, row in PARAMETERS.items() if row.takes_k]
+    return [(name, k) for k in k_range(g) for name in k_rows] + [
+        (name, None) for name, row in PARAMETERS.items() if not row.takes_k
+    ]
 
 
 def requirements(g: Graph, k: int) -> tuple[int, ...]:
@@ -228,7 +239,7 @@ class _Search:
     def __init__(self, g: Graph, problem: tuple[bool, bool, tuple[int, ...]]):
         n = g.n
         self.n = n
-        self.adj = adj = g.adjacency_bits
+        self.adj = adj = g.adjacency
         self.needs_dom, self.needs_conn, req = problem
         self.req = req
         most = max(req, default=0)
@@ -494,13 +505,14 @@ def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveR
     k_eff = k if k is not None else 0
     demands = row.demands
     examined = 0
+    singletons = [1 << v for v in range(g.n)]
     for size in range(1, g.n + 1):
-        for combo in itertools.combinations(range(g.n), size):
+        for combo in itertools.combinations(singletons, size):
             examined += 1
-            if meets(g, set(combo), k_eff, demands):
+            mask = sum(combo)
+            if meets(g, mask, k_eff, demands):
                 return SolveResult(
-                    parameter, k, STATUS_FOUND, size,
-                    VertexSet.from_vertices(g, combo),
+                    parameter, k, STATUS_FOUND, size, VertexSet(g, mask),
                     SearchStats(examined, 0, time.perf_counter() - start),
                 )
     stats = SearchStats(examined, 0, time.perf_counter() - start)

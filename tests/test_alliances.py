@@ -41,7 +41,6 @@ def test_vertex_set_operations():
     assert s.members == (0, 3, 5)
     assert len(s) == 3
     assert 3 in s and 4 not in s
-    assert s.complement().members == (1, 2, 4, 6, 7)
     assert s.union(VertexSet.from_vertices(Q3, [4])).members == (0, 3, 4, 5)
     assert s.difference(VertexSet.from_vertices(Q3, [3])).members == (0, 5)
     assert s.issubset(VertexSet.full(Q3))
@@ -100,14 +99,15 @@ def test_meets_reads_each_demand():
     p4 = path_graph(4)  # 0 - 1 - 2 - 3
     gamma, gamma_t = PARAMETERS["gamma"].demands, PARAMETERS["gamma_t"].demands
     connected = (False, False, False, True)
-    # 1 and 2 each have one neighbour inside and one outside.
-    assert meets(p4, {1, 2}, 0, PARAMETERS["gamma_k_ca"].demands)
-    assert not meets(p4, {1, 2}, 1, PARAMETERS["a_k"].demands)
-    assert meets(p4, {0, 3}, 0, gamma)
-    assert not meets(p4, {0, 1}, 0, gamma)  # 3 has no neighbour inside
-    assert not meets(p4, {0, 3}, 0, gamma_t)  # nor has 0
-    assert meets(p4, {1, 2}, 0, gamma_t)
-    assert not meets(p4, {0, 3}, 0, connected)
+    # Bit v of a mask is vertex v. 1 and 2 each have one neighbour inside
+    # and one outside.
+    assert meets(p4, 0b0110, 0, PARAMETERS["gamma_k_ca"].demands)
+    assert not meets(p4, 0b0110, 1, PARAMETERS["a_k"].demands)
+    assert meets(p4, 0b1001, 0, gamma)
+    assert not meets(p4, 0b0011, 0, gamma)  # 3 has no neighbour inside
+    assert not meets(p4, 0b1001, 0, gamma_t)  # nor has 0
+    assert meets(p4, 0b0110, 0, gamma_t)
+    assert not meets(p4, 0b1001, 0, connected)
 
 
 def test_certify_cube_face_is_global_connected():
@@ -184,14 +184,13 @@ def test_parameter_table_verdicts_match_the_oracle(gs, k):
     # one definition. The certificate's per-vertex evidence, counted apart
     # from ``meets``, must agree with the verdicts it reports.
     g, s = gs
-    members = set(s.members)
     for name, row in PARAMETERS.items():
-        expected = meets(g, members, k, row.demands)
+        expected = meets(g, s.bits, k, row.demands)
         search = _Search(g, problem(g, name, k if row.takes_k else None))
         cover = 0
-        for v in members:
+        for v in s:
             cover |= search.serve[v]
-        leaf = search._prune(s.bits, cover, max(members) + 1, 0) is None
+        leaf = search._prune(s.bits, cover, s.bits.bit_length(), 0) is None
         assert leaf == expected, (name, g.edges, s.members, k)
     cert = certify(g, s, k, "global")
     assert cert.is_defensive == all(m >= 0 for m in cert.margins.values())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kalliance.graphs import (
+    FAMILIES,
     Graph,
     ParseError,
     complete_bipartite_graph,
@@ -97,6 +98,32 @@ def test_content_hash_tracks_structure():
     assert path_graph(4).content_hash() != cycle_graph(4).content_hash()
 
 
+def assert_adjacency_matches_edges(g):
+    """``adjacency`` is the one copy of the graph that the oracle and the
+    search read, so it is checked here against the edge list."""
+    edges = set(g.edges)
+    for u, bits in enumerate(g.adjacency):
+        assert not bits >> u & 1, f"vertex {u} has its own bit"
+        assert not bits >> g.n, f"vertex {u} has a bit at or above n"
+        assert g.degrees[u] == bits.bit_count()
+        for v in range(g.n):
+            assert bool(bits >> v & 1) == ((min(u, v), max(u, v)) in edges), (u, v)
+
+
+@given(graphs())
+def test_adjacency_agrees_with_the_edge_list(g):
+    assert_adjacency_matches_edges(g)
+
+
+SMALL_PARAMS = {"n": 6, "a": 2, "b": 3, "d": 3, "p": 0.5, "seed": 7}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_adjacency_agrees_with_the_edge_list(family):
+    builder, names = FAMILIES[family]
+    assert_adjacency_matches_edges(builder(**{name: SMALL_PARAMS[name] for name in names}))
+
+
 # ---------------------------------------------------------------------------
 # Edge-list format
 # ---------------------------------------------------------------------------
@@ -166,6 +193,12 @@ def test_petersen_shape():
 def test_cube_diameter():
     assert diameter(hypercube_graph(3)) == 3
     assert floyd_warshall_diameter(hypercube_graph(3)) == 3
+
+
+@given(graphs(max_n=8))
+def test_diameter_matches_floyd_warshall(g):
+    if is_connected(g):
+        assert diameter(g) == floyd_warshall_diameter(g)
 
 
 def test_star_is_complete_bipartite():
@@ -254,10 +287,13 @@ def test_line_graph_diameter_drop_is_bounded(g):
 
 def test_component_counting():
     g = Graph(6, [(0, 1), (2, 3)])
-    assert connected_components_of(g, range(6)) == 4  # two edges, two isolated vertices
-    assert connected_components_of(g, [0, 1]) == 1
-    assert connected_components_of(g, [0, 2]) == 2
-    assert connected_components_of(g, []) == 0
+    # Vertex sets are bitmasks: bit v is vertex v.
+    assert connected_components_of(g, 0b111111) == 4  # two edges, two isolated vertices
+    assert connected_components_of(g, 0b000011) == 1
+    assert connected_components_of(g, 0b000101) == 2
+    assert connected_components_of(g, 0) == 0
+    with pytest.raises(IndexError):
+        connected_components_of(g, 1 << 6)
     assert not is_connected(g)
 
 
