@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .graphs import Graph, connected_components_of
+from .graphs import Graph, connected_components_of, is_cubic
 
 PARAM_A_K = "a_k"
 PARAM_GAMMA_K_A = "gamma_k_a"
@@ -93,10 +93,8 @@ class ConstructionInvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Subset of the vertices of one specific graph, stored as a bitmask.
-
-    Set operations are only defined between sets tagged with the same graph.
-    """
+    """Subset of the vertices of one specific graph: a bitmask tagged with
+    that graph. Every function here refuses a set tagged to another graph."""
 
     graph: Graph
     bits: int
@@ -127,27 +125,8 @@ class VertexSet:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.graph.n and bool((self.bits >> v) & 1)
-
     def __iter__(self):
         return iter(self.members)
-
-    def _check_same_graph(self, other: "VertexSet"):
-        if self.graph != other.graph:
-            raise ValueError("vertex sets belong to different graphs")
-
-    def union(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.bits | other.bits)
-
-    def difference(self, other: "VertexSet") -> "VertexSet":
-        self._check_same_graph(other)
-        return VertexSet(self.graph, self.bits & ~other.bits)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        self._check_same_graph(other)
-        return self.bits & ~other.bits == 0
 
 
 @dataclass(frozen=True)
@@ -284,38 +263,41 @@ def shrink_to_lower_k(
     Drops the lexicographically smallest r-subset of s minus w; the result is
     re-certified as a global defensive (k-2r)-alliance before returning.
     """
-    if not meets(g, _member_bits(g, s), k, _GLOBAL):
+    members = _member_bits(g, s)
+    core = _member_bits(g, w)
+    if not meets(g, members, k, _GLOBAL):
         raise ValueError("s must be a global defensive k-alliance")
-    if not w.issubset(s):
+    if core & ~members:
         raise ValueError("w must be a subset of s")
-    if not is_dominating(g, w):
+    if not meets(g, core, 0, _DOMINATING):
         raise ValueError("w must be a dominating set")
-    if not 0 <= r <= len(s) - len(w):
-        raise ValueError(f"r must lie in [0, {len(s) - len(w)}]")
-    removable = s.difference(w).members
-    result = s.difference(VertexSet.from_vertices(g, removable[:r]))
-    if not meets(g, result.bits, k - 2 * r, _GLOBAL):
+    kept = members ^ core  # the removable vertices
+    if not 0 <= r <= kept.bit_count():
+        raise ValueError(f"r must lie in [0, {kept.bit_count()}]")
+    for _ in range(r):
+        kept &= kept - 1  # drops the lowest removable vertex left
+    result = core | kept
+    if not meets(g, result, k - 2 * r, _GLOBAL):
         raise ConstructionInvariantError(
             "shrunken set failed to certify as a global defensive "
             f"({k - 2 * r})-alliance"
         )
-    return result
+    return VertexSet(g, result)
 
 
 def construct_upper_witness(g: Graph, k: int) -> VertexSet:
     """Global defensive k-alliance of size n - floor((min_degree - k) / 2).
 
     Removes that many lowest-index neighbors of the first maximum-degree
-    vertex; for k >= min_degree the whole vertex set is returned unchanged.
+    vertex (none for k >= min_degree - 1). Its domain is where the bound
+    ``upper_min_degree`` applies: k above the minimum degree, or so far
+    below it that more than the maximum degree would go, is a ValueError.
     """
     d_min = g.min_degree
-    if k >= d_min:
-        full = VertexSet.full(g)
-        if k == d_min and not meets(g, full.bits, k, _GLOBAL):
-            raise ConstructionInvariantError("whole vertex set failed to certify")
-        return full
-    drop_count = (d_min - k) // 2
     d_max = g.max_degree
+    if k > d_min:
+        raise ValueError(f"k={k} is above the minimum degree {d_min}: no alliance is guaranteed")
+    drop_count = (d_min - k) // 2
     if drop_count > d_max:
         raise ValueError(
             f"k={k} is too far below the degree range: the construction would "
@@ -324,13 +306,13 @@ def construct_upper_witness(g: Graph, k: int) -> VertexSet:
     hub = kept = g.adjacency[g.degrees.index(d_max)]
     for _ in range(drop_count):
         kept &= kept - 1  # drops the lowest neighbour left
-    result = VertexSet.full(g).difference(VertexSet(g, hub ^ kept))
-    if not meets(g, result.bits, k, _GLOBAL):
+    result = ((1 << g.n) - 1) ^ hub ^ kept
+    if not meets(g, result, k, _GLOBAL):
         raise ConstructionInvariantError(
-            f"witness of size {len(result)} failed to certify as a global "
+            f"witness of size {result.bit_count()} failed to certify as a global "
             f"defensive {k}-alliance"
         )
-    return result
+    return VertexSet(g, result)
 
 
 def cubic_augment_dominating(g: Graph, s: VertexSet) -> VertexSet:
@@ -340,20 +322,20 @@ def cubic_augment_dominating(g: Graph, s: VertexSet) -> VertexSet:
     Every member with no neighbor inside s adopts its lowest-index outside
     neighbor; the result is re-certified before returning.
     """
-    if any(d != 3 for d in g.degrees):
+    members = _member_bits(g, s)
+    if not is_cubic(g):
         raise ValueError("graph is not cubic")
-    if not is_dominating(g, s):
+    if not meets(g, members, 0, _DOMINATING):
         raise ValueError("s must be a dominating set")
-    adopted = 0
+    result = members
     for v in s:
-        outside = g.adjacency[v] & ~s.bits
-        if outside == g.adjacency[v]:
-            adopted |= outside & -outside
-    result = s.union(VertexSet(g, adopted))
-    if len(result) > 2 * len(s):
+        a = g.adjacency[v]
+        if not a & members:
+            result |= a & -a  # the lowest outside neighbour
+    if result.bit_count() > 2 * members.bit_count():
         raise ConstructionInvariantError("augmented set exceeded twice the input size")
-    if not meets(g, result.bits, -1, _GLOBAL):
+    if not meets(g, result, -1, _GLOBAL):
         raise ConstructionInvariantError(
             "augmented set failed to certify as a global defensive (-1)-alliance"
         )
-    return result
+    return VertexSet(g, result)

@@ -311,7 +311,10 @@ def _check_target(target: str):
 
 
 def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
-    """All lower bounds whose hypotheses g verifiably meets, for one target.
+    """The lower bounds for one target. ``lower_sqrt``, ``lower_maxdeg`` and
+    the planar bound always come back, the last two marked not applicable
+    where their hypotheses fail; ``tree_lower`` comes back only on a tree,
+    and the two connected bounds only on a connected graph.
 
     Bounds stated for the global parameter also hold for its connected
     variant, so the connected target inherits them. The plain defensive
@@ -361,7 +364,10 @@ def upper_reports(
 def evaluate_all(
     g: Graph, k: int, target: str, gamma: int | None = None
 ) -> list[BoundReport]:
-    """Every catalogued bound for (g, k, target), applicable or not."""
+    """``lower_reports`` then ``upper_reports`` for (g, k, target). Some
+    bounds come back marked not applicable; others are left out when g fails
+    their hypotheses (see ``lower_reports``; ``cubic_upper_2gamma`` only at
+    k = -1 on a cubic graph)."""
     return lower_reports(g, k, target) + upper_reports(g, k, target, gamma)
 
 

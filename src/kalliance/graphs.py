@@ -21,6 +21,14 @@ class ParseError(ValueError):
     """Malformed edge-list document; the message names the offending line."""
 
 
+class EdgeError(ValueError):
+    """An edge ``Graph`` rejects: what is wrong with the edge at ``index`` in its input."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"input edge {index}: {problem}")
+        self.index, self.problem = index, problem
+
+
 class Graph:
     """Simple undirected graph, immutable after construction.
 
@@ -50,15 +58,15 @@ class Graph:
             raise ValueError("graph order must be a positive integer")
         canon: list[tuple[int, int]] = []
         bits = [0] * n
-        for edge in edges:
+        for i, edge in enumerate(edges):
             u, v = edge
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge {edge!r} out of range for order {n}")
+                raise EdgeError(i, f"edge {edge!r} out of range for order {n}")
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise EdgeError(i, f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
             if bits[u] >> v & 1:
-                raise ValueError(f"duplicate edge {key}")
+                raise EdgeError(i, f"duplicate edge {key}")
             canon.append(key)
             bits[u] |= 1 << v
             bits[v] |= 1 << u
@@ -121,11 +129,12 @@ def from_edge_list(text: str) -> Graph:
     Lines starting with ``#`` are comments. An optional first directive line
     ``n <int>`` declares the order; every other non-empty line is ``u v``.
     Without a directive the order is one past the largest vertex index.
+    ``Graph`` checks the edges once all lines parse; it names a bad edge's line.
     """
     declared_n: int | None = None
     saw_content = False
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,10 +142,9 @@ def from_edge_list(text: str) -> Graph:
         parts = line.split()
         if not saw_content and parts[0] == "n":
             saw_content = True
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: malformed order directive")
             try:
-                declared_n = int(parts[1])
+                _, order = parts  # a wrong field count is a ValueError too
+                declared_n = int(order)
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed order directive") from None
             if declared_n < 1:
@@ -149,24 +157,16 @@ def from_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"line {lineno}: vertex indices must be integers") from None
-        if u < 0 or v < 0:
-            raise ParseError(f"line {lineno}: negative vertex index")
-        if u == v:
-            raise ParseError(f"line {lineno}: self-loop at vertex {u}")
-        if declared_n is not None and (u >= declared_n or v >= declared_n):
-            raise ParseError(
-                f"line {lineno}: vertex index exceeds declared order {declared_n}"
-            )
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate edge {key[0]} {key[1]}")
-        seen.add(key)
-        edges.append(key)
+        edges.append((u, v))
+        linenos.append(lineno)
     if declared_n is None:
         if not edges:
             raise ParseError("document declares no vertices (no 'n' directive and no edges)")
-        declared_n = max(v for e in edges for v in e) + 1
-    return Graph(declared_n, edges)
+        declared_n = max(1, *(v + 1 for e in edges for v in e))  # 1 if all negative
+    try:
+        return Graph(declared_n, edges)
+    except EdgeError as exc:
+        raise ParseError(f"line {linenos[exc.index]}: {exc.problem}") from None
 
 
 def to_edge_list(g: Graph) -> str:

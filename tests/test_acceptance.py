@@ -10,7 +10,6 @@ from kalliance.alliances import (
     PARAM_A_K,
     PARAM_GAMMA,
     PARAM_GAMMA_K_A,
-    PARAMETERS,
     VertexSet,
     certify,
     construct_upper_witness,
@@ -25,7 +24,7 @@ from kalliance.graphs import (
     star_graph,
 )
 from kalliance.known_values import run_known_value_checks
-from kalliance.solver import brute_force_oracle, solve
+from kalliance.solver import brute_force_oracle, cells, solve
 
 
 def _report(criterion, description, problems):
@@ -126,10 +125,7 @@ def test_c07_oracle_equivalence():
         p = (0.3, 0.5, 0.7)[i % 3]
         g = random_graph(n, p, 5000 + i)
         graph_count += 1
-        d = g.max_degree
-        checks = [(t, k) for k in range(-d, d + 1) for t, row in PARAMETERS.items() if row.takes_k]
-        checks += [(t, None) for t, row in PARAMETERS.items() if not row.takes_k]
-        for target, k in checks:
+        for target, k in cells(g):
             fast = solve(g, target, k)
             slow = brute_force_oracle(g, target, k)
             if (fast.status, fast.value, fast.witness_members()) != (

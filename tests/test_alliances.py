@@ -15,7 +15,9 @@ from kalliance.alliances import (
     meets,
     shrink_to_lower_k,
 )
+from kalliance.bounds import upper_min_degree
 from kalliance.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -40,17 +42,14 @@ def test_vertex_set_operations():
     s = VertexSet.from_vertices(Q3, [0, 3, 5])
     assert s.members == (0, 3, 5)
     assert len(s) == 3
-    assert 3 in s and 4 not in s
-    assert s.union(VertexSet.from_vertices(Q3, [4])).members == (0, 3, 4, 5)
-    assert s.difference(VertexSet.from_vertices(Q3, [3])).members == (0, 5)
-    assert s.issubset(VertexSet.full(Q3))
+    assert s.bits == 0b101001
+    assert 3 in s and 4 not in s  # membership through iteration
 
 
 def test_vertex_set_rejects_cross_graph_operations():
-    s = VertexSet.from_vertices(Q3, [0])
     t = VertexSet.from_vertices(petersen_graph(), [0])
-    with pytest.raises(ValueError):
-        s.union(t)
+    with pytest.raises(ValueError, match="different graph"):
+        is_dominating(Q3, t)
     with pytest.raises(ValueError):
         VertexSet.from_vertices(Q3, [8])
 
@@ -255,7 +254,8 @@ def test_construct_upper_witness_cube():
 
 def test_construct_upper_witness_trivial_and_closed_form():
     assert construct_upper_witness(Q3, 3) == VertexSet.full(Q3)
-    assert construct_upper_witness(Q3, 5) == VertexSet.full(Q3)
+    with pytest.raises(ValueError, match="above the minimum degree"):
+        construct_upper_witness(Q3, 4)  # V is not a 4-alliance of a cubic graph
     k5 = complete_graph(5)
     assert len(construct_upper_witness(k5, 0)) == 3
 
@@ -265,6 +265,38 @@ def test_construct_upper_witness_rejects_k_far_below_range():
     assert len(construct_upper_witness(k2, -2)) == 1
     with pytest.raises(ValueError):
         construct_upper_witness(k2, -3)
+
+
+@given(graphs())
+def test_construct_upper_witness_matches_upper_min_degree(g):
+    # The construction's domain is exactly where the catalogue bound applies,
+    # and there it builds a certified set of the bound's size.
+    for k in range(-g.max_degree - 2, g.max_degree + 3):
+        report = upper_min_degree(g.n, g.min_degree, k, g.max_degree)
+        if not report.applicable:
+            with pytest.raises(ValueError):
+                construct_upper_witness(g, k)
+            continue
+        witness = construct_upper_witness(g, k)
+        assert len(witness) == report.value
+        assert meets(g, witness.bits, k, PARAMETERS["gamma_k_a"].demands)
+
+
+def test_constructions_refuse_a_set_of_another_graph():
+    # Q3 with vertices 0 and 3 swapped is cubic and of the same order, so
+    # each bitmask fits it, but it is another graph.
+    swap = {0: 3, 3: 0}
+    other = Graph(8, [(swap.get(u, u), swap.get(v, v)) for u, v in Q3.edges])
+    assert other != Q3
+    w, core = VertexSet.from_vertices(Q3, [0, 7]), VertexSet.from_vertices(other, [0, 7])
+    calls = (
+        lambda: shrink_to_lower_k(Q3, VertexSet.full(other), 3, w, 1),
+        lambda: shrink_to_lower_k(Q3, VertexSet.full(Q3), 3, core, 1),
+        lambda: cubic_augment_dominating(Q3, core),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="different graph"):
+            call()
 
 
 def test_cubic_augment_cube_antipodal():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from kalliance.graphs import (
     FAMILIES,
+    EdgeError,
     Graph,
     ParseError,
     complete_bipartite_graph,
@@ -146,6 +147,24 @@ def test_parse_errors_name_lines():
         from_edge_list("# only a comment\n")
     with pytest.raises(ParseError, match="line 1"):
         from_edge_list("n 0\n")
+
+
+def test_graph_names_the_rejected_input_edge():
+    for edges, index in (([(0, 1), (1, 1)], 1), ([(0, 1), (2, 1), (1, 0)], 2), ([(-1, 0)], 0)):
+        with pytest.raises(EdgeError, match=f"input edge {index}:") as info:
+            Graph(3, edges)
+        assert info.value.index == index
+
+
+def test_parse_reads_every_line_before_checking_edges():
+    # A syntax error wins over an earlier bad edge; an edge Graph rejects is
+    # reported at its own line, negative indices included.
+    with pytest.raises(ParseError, match="line 2: expected"):
+        from_edge_list("0 0\nbogus")
+    with pytest.raises(ParseError, match="line 3: edge .* out of range"):
+        from_edge_list("0 1\n\n2 -1\n")
+    with pytest.raises(ParseError, match="line 1: edge .* out of range"):
+        from_edge_list("-1 -2")
 
 
 def test_parse_infers_order_without_directive():
