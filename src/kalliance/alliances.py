@@ -285,26 +285,37 @@ def shrink_to_lower_k(
     return VertexSet(g, result)
 
 
+def upper_witness_drops(d_min: int, d_max: int, k: int) -> int:
+    """floor((d_min - k) / 2), the neighbours of one maximum-degree vertex
+    that ``construct_upper_witness`` leaves out at level k.
+
+    This is the one domain of that construction and of the catalogue bound
+    ``upper_min_degree``: k above the minimum degree, where no alliance is
+    guaranteed, or so far below it that more than the maximum degree would
+    go, is a ValueError.
+    """
+    if k > d_min:
+        raise ValueError(f"existence not established for k={k} above minimum degree {d_min}")
+    drops = (d_min - k) // 2
+    if drops > d_max:
+        raise ValueError(
+            f"k={k} below the provable range: the witness construction would "
+            f"remove {drops} neighbors but only {d_max} exist"
+        )
+    return drops
+
+
 def construct_upper_witness(g: Graph, k: int) -> VertexSet:
     """Global defensive k-alliance of size n - floor((min_degree - k) / 2).
 
     Removes that many lowest-index neighbors of the first maximum-degree
-    vertex (none for k >= min_degree - 1). Its domain is where the bound
-    ``upper_min_degree`` applies: k above the minimum degree, or so far
-    below it that more than the maximum degree would go, is a ValueError.
+    vertex (none for k >= min_degree - 1). Outside ``upper_witness_drops``'s
+    domain it raises its ValueError.
     """
-    d_min = g.min_degree
     d_max = g.max_degree
-    if k > d_min:
-        raise ValueError(f"k={k} is above the minimum degree {d_min}: no alliance is guaranteed")
-    drop_count = (d_min - k) // 2
-    if drop_count > d_max:
-        raise ValueError(
-            f"k={k} is too far below the degree range: the construction would "
-            f"remove {drop_count} neighbors but only {d_max} are available"
-        )
+    drops = upper_witness_drops(g.min_degree, d_max, k)
     hub = kept = g.adjacency[g.degrees.index(d_max)]
-    for _ in range(drop_count):
+    for _ in range(drops):
         kept &= kept - 1  # drops the lowest neighbour left
     result = ((1 << g.n) - 1) ^ hub ^ kept
     if not meets(g, result, k, _GLOBAL):

@@ -19,6 +19,7 @@ from .alliances import (
     PARAM_GAMMA_K_A,
     PARAM_GAMMA_K_CA,
     lookup_parameter,
+    upper_witness_drops,
 )
 from .graphs import (
     Graph,
@@ -100,25 +101,17 @@ def lower_sqrt(n: int, k: int) -> BoundReport:
 def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
     """size <= n - floor((min_degree - k) / 2).
 
-    Guaranteed for k <= min_degree (the whole vertex set qualifies), and only
-    provable while the witness construction can remove floor((d_min - k) / 2)
-    neighbors of one maximum-degree vertex; outside that range the formula
-    can undershoot, so the report abstains.
+    ``construct_upper_witness`` builds a global alliance of that size, so
+    the bound holds exactly on the construction's domain,
+    ``upper_witness_drops``; where that raises, the report abstains with
+    its message.
     """
     anchor = "size <= n - floor((min_deg - k) / 2)"
-    if k > d_min:
-        return _na(
-            "upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k,
-            f"existence not established for k={k} above minimum degree {d_min}",
-        )
-    if (d_min - k) // 2 > d_max:
-        return _na(
-            "upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k,
-            f"k={k} below the provable range: the witness construction would "
-            f"remove {(d_min - k) // 2} neighbors but only {d_max} exist",
-        )
-    value = n - (d_min - k) // 2
-    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, value)
+    try:
+        drops = upper_witness_drops(d_min, d_max, k)
+    except ValueError as exc:
+        return _na("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, str(exc))
+    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, n - drops)
 
 
 def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:

@@ -235,11 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # ParseError and JSONDecodeError are both ValueErrors: a ParseError exits
-    # 3, so its clause comes first, and a JSONDecodeError exits 2.
+    # ParseError, UnicodeDecodeError and JSONDecodeError are all ValueErrors:
+    # the first two are file errors and exit 3, so their clause comes first,
+    # and a JSONDecodeError exits 2.
     try:
         return args.func(args)
-    except (ParseError, OSError) as exc:
+    except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ResourceLimitError, ValueError) as exc:

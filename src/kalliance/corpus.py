@@ -37,7 +37,6 @@ from .graphs import (
     family_params,
     generate,
     is_connected,
-    is_cubic,
     is_tree,
 )
 from .solver import (
@@ -242,7 +241,6 @@ class _GraphOutcome:
     graph_id: str
     cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]]  # (result, source)
     records: list[CertificationRecord]
-    extras: list[str]
     shrink_pool: list[tuple[int, VertexSet, VertexSet]]  # (k, witness, min dominating W)
     counts: dict[str, int] = field(default_factory=dict)
 
@@ -294,7 +292,10 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     solved: dict[tuple, tuple[SolveResult, str | None]] = {}
     cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]] = {}
     reused: list[tuple[str, int | None]] = []
-    counts = {"reuse_none": 0, "reuse_shortcut": 0, "reuse_floor": 0, "reuse_resolved": 0}
+    counts = {
+        "reuse_none": 0, "reuse_shortcut": 0, "reuse_floor": 0, "reuse_resolved": 0,
+        "upper_witness": 0, "cubic_augment": 0,
+    }
     try:
         for t, k in order:
             key = problem(g, t, k)
@@ -321,7 +322,6 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             for t, k in order
         }
     gamma = cells[PARAM_GAMMA, None][0]
-    d_min = g.min_degree
     connected = is_connected(g)
     diam = diameter(g) if connected else None
 
@@ -332,6 +332,16 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     rng = random.Random(f"{_SAMPLE_SEED}:{gid}")
     drawn = set(rng.sample(reused, min(REUSE_SAMPLES, len(reused))))
     counts["reuse_resolved"] = len(drawn)
+
+    # Every catalogue upper bound is constructive, so each applicable upper
+    # report is checked by building its set: bound name -> (its checks_run
+    # count, its construction at k). A bound missing here is a KeyError.
+    builders = {
+        "upper_min_degree": ("upper_witness", lambda k: construct_upper_witness(g, k)),
+        "cubic_upper_2gamma": (
+            "cubic_augment", lambda k: cubic_augment_dominating(g, gamma.witness)
+        ),
+    }
 
     # Every cell is checked where its entry is built, in pass order, one
     # record per k and one for the domination rows (k = None).
@@ -358,12 +368,11 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             demands = PARAMETERS[target].demands
             if res.found and not meets(g, res.witness.bits, k or 0, demands):
                 flag(f"{where}: witness failed re-certification")
-            # Every catalogue upper bound is constructive (upper_min_degree by
-            # construct_upper_witness, cubic_upper_2gamma by
-            # cubic_augment_dominating), so it also proves an alliance exists.
-            # On a regular graph it meets lower_maxdeg at n for the top two k.
-            # At k = max degree lower_maxdeg is n, and V re-certifies there
-            # only on a regular graph, so those two checks decide the top k.
+            # Each applicable upper bound is built (``builders``), so it also
+            # proves an alliance exists. On a regular graph it meets
+            # lower_maxdeg at n for the top two k. At k = max degree
+            # lower_maxdeg is n, and V re-certifies there only on a regular
+            # graph, so those two checks decide the top k.
             for report in reports:
                 if not report.applicable:
                     continue
@@ -374,6 +383,15 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                         flag(f"{where}: value {res.value} above {report.name}={report.value}")
                     elif res.status == STATUS_NONE:
                         flag(f"{where}: none exists, but {report.name}={report.value} builds one")
+                    check, build = builders[report.name]
+                    counts[check] += 1
+                    try:
+                        size = len(build(k))
+                    except ConstructionInvariantError as exc:
+                        flag(f"{where}: {report.name} construction failed: {exc}")
+                        continue
+                    if size > report.value:
+                        flag(f"{where}: {report.name}={report.value} construction built {size}")
             if target == PARAM_GAMMA_T and res.found and connected and g.n >= 3:
                 if res.value > (2 * g.n) // 3:
                     flag(f"{gid}: gamma_t {res.value} exceeds floor(2n/3) = {(2 * g.n) // 3}")
@@ -409,32 +427,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             entries.append(entry)
         records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))
 
-    # Executable constructions.
-    extras: list[str] = []
-    counts.update(upper_witness=0, cubic_augment=0)
-    for k in ks:
-        if k >= d_min:
-            break
-        counts["upper_witness"] += 1
-        try:
-            witness = construct_upper_witness(g, k)
-        except ConstructionInvariantError as exc:
-            extras.append(f"{gid} k={k}: upper witness construction failed: {exc}")
-            continue
-        expected = bounds_mod.upper_min_degree(g.n, d_min, k, g.max_degree).value
-        if len(witness) != expected:
-            extras.append(
-                f"{gid} k={k}: upper witness has size {len(witness)}, expected {expected}"
-            )
-    if is_cubic(g) and gamma.found:
-        # The construction itself raises past 2 * gamma.
-        counts["cubic_augment"] += 1
-        try:
-            cubic_augment_dominating(g, gamma.witness)
-        except ConstructionInvariantError as exc:
-            extras.append(f"{gid}: cubic augmentation failed: {exc}")
-
-    return _GraphOutcome(g, gid, cells, records, extras, shrink_pool, counts)
+    return _GraphOutcome(g, gid, cells, records, shrink_pool, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +497,6 @@ def run_corpus(spec: CorpusSpec) -> CorpusResult:
     checks: dict[str, int] = {"upper_witness": 0, "cubic_augment": 0}
     for outcome in outcomes:
         records.extend(outcome.records)
-        extras.extend(outcome.extras)
         for name, count in outcome.counts.items():
             checks[name] = checks.get(name, 0) + count
 

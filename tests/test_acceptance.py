@@ -15,7 +15,7 @@ from kalliance.alliances import (
     construct_upper_witness,
     cubic_augment_dominating,
 )
-from kalliance.bounds import faces_lower, induced_face_count, kn_closed_form
+from kalliance.bounds import faces_lower, induced_face_count, kn_closed_form, upper_min_degree
 from kalliance.graphs import (
     complete_graph,
     is_cubic,
@@ -24,7 +24,7 @@ from kalliance.graphs import (
     star_graph,
 )
 from kalliance.known_values import run_known_value_checks
-from kalliance.solver import brute_force_oracle, cells, solve
+from kalliance.solver import brute_force_oracle, cells, k_range, solve
 
 
 def _report(criterion, description, problems):
@@ -155,22 +155,28 @@ def test_c08_corpus_soundness(default_corpus):
 
 def test_c09_constructions_executable(default_corpus):
     spec, result = default_corpus
-    problems = [v for v in result.extra_violations]
+    # The corpus builds each applicable upper bound on its cell.
+    on_cells = [v for r in result.records for e in r.entries for v in e.violations]
+    problems = result.extra_violations + [v for v in on_cells if "construction" in v]
     if result.checks_run.get("shrink_samples") != 200:
         problems.append("shrink construction must be sampled 200 times")
     if result.checks_run.get("upper_witness", 0) <= 0:
         problems.append("upper witness construction never ran")
     if result.checks_run.get("cubic_augment", 0) < 30:
         problems.append("cubic augmentation must cover the cubic corpus")
-    # Re-run the witness construction directly on every corpus graph; the
-    # constructions re-certify internally and raise on any failure.
+    # Re-run the witness construction directly on every corpus graph and k;
+    # the constructions re-certify internally and raise on any failure. It
+    # builds a set of the catalogue bound's size where that applies, and
+    # refuses the k where the bound abstains.
     for gs in spec.graphs:
         g = gs.build()
-        d_min, d_max = g.min_degree, g.max_degree
-        for k in range(-d_max, d_min):
-            witness = construct_upper_witness(g, k)
-            if len(witness) != g.n - (d_min - k) // 2:
-                problems.append(f"{gs.label()} k={k}: wrong witness size")
+        for k in k_range(g):
+            report = upper_min_degree(g.n, g.min_degree, k, g.max_degree)
+            try:
+                size = len(construct_upper_witness(g, k))
+            except ValueError:
+                size = None
+            _expect(problems, f"{gs.label()} k={k} upper witness size", size, report.value)
         if is_cubic(g):
             gamma = solve(g, PARAM_GAMMA)
             augmented = cubic_augment_dominating(g, gamma.witness)

@@ -254,7 +254,7 @@ def test_construct_upper_witness_cube():
 
 def test_construct_upper_witness_trivial_and_closed_form():
     assert construct_upper_witness(Q3, 3) == VertexSet.full(Q3)
-    with pytest.raises(ValueError, match="above the minimum degree"):
+    with pytest.raises(ValueError, match="above minimum degree"):
         construct_upper_witness(Q3, 4)  # V is not a 4-alliance of a cubic graph
     k5 = complete_graph(5)
     assert len(construct_upper_witness(k5, 0)) == 3

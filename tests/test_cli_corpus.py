@@ -411,7 +411,7 @@ def _petersen_cells_and_violations():
     outcome = _certify_graph(GraphSpec.of("petersen"))
     cells = {key: _answer(res) for key, (res, _) in outcome.cells.items()}
     violations = [v for r in outcome.records for e in r.entries for v in e.violations]
-    return cells, violations + outcome.extras
+    return cells, violations
 
 
 def test_wrong_lower_bound_is_reported_and_never_changes_a_value(monkeypatch):
@@ -486,6 +486,39 @@ def test_a_none_cell_under_a_catalogue_upper_bound_is_reported(monkeypatch):
     assert any("upper_min_degree" in v for v in entry.violations), entry.violations
 
 
+def test_an_upper_witness_failing_at_the_minimum_degree_is_flagged(monkeypatch):
+    real = corpus.construct_upper_witness
+
+    def fails_at_min_degree(g, k):
+        if k == g.min_degree:
+            raise ConstructionInvariantError("injected at k = min degree")
+        return real(g, k)
+
+    monkeypatch.setattr(corpus, "construct_upper_witness", fails_at_min_degree)
+    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"), GraphSpec.of("star", n=5)))
+    violations = run_corpus(spec).all_violations()
+    # upper_min_degree applies up to k = min degree, and the corpus builds it
+    # on each cell where it applies: k = 3 on the Petersen graph, 1 on the star.
+    assert len(violations) == 2, violations
+    petersen, star = violations
+    assert petersen.startswith("petersen-") and " k=3 gamma_k_a: upper_min_degree" in petersen
+    assert star.startswith("star-n5-") and " k=1 gamma_k_a: upper_min_degree" in star
+    assert all("construction failed: injected" in v for v in violations)
+
+
+def test_an_upper_bound_without_a_construction_fails_loudly(monkeypatch):
+    real = bounds.upper_reports
+
+    def with_an_unbuilt_bound(g, k, target, gamma=None):
+        reports = real(g, k, target, gamma)
+        unbuilt = bounds.BoundReport("unbuilt", "size <= n", bounds.KIND_UPPER, target, k, g.n)
+        return reports + [unbuilt] if reports else reports
+
+    monkeypatch.setattr(bounds, "upper_reports", with_an_unbuilt_bound)
+    with pytest.raises(KeyError, match="unbuilt"):
+        _certify_graph(GraphSpec.of("petersen"))
+
+
 def test_a_domination_row_witness_is_re_certified(monkeypatch):
     real_from = corpus._solve_from
 
@@ -554,7 +587,7 @@ def test_default_corpus_json_report_is_pinned(default_corpus):
     _, result = default_corpus
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "f5ea7efdfebd3aec50a796b7b8b0bbe48a2b1c155b1401a1588625e3bdcd616f"
+    assert digest == "00733d27eba72c6c9b78c79d73aef154024f9ef6b8b2006b5a9d913571b3ce1e"
 
 
 def test_corpus_spec_json_round_trip():
@@ -696,6 +729,25 @@ def test_malformed_corpus_spec_is_usage_error(capsys, monkeypatch, spec):
     assert code == 2
     assert "error:" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "content, argv, code",
+    [
+        (b"\xff\xfe0 1\n", ("solve", "--target", "gamma", "--graph"), 3),
+        (b"\xff\xfe{}", ("certify", "--corpus"), 3),
+        (b'{"graphs": [', ("certify", "--corpus"), 2),
+    ],
+    ids=["graph-not-utf8", "spec-not-utf8", "spec-not-json"],
+)
+def test_an_undecodable_file_is_a_file_error(capsys, tmp_path, content, argv, code):
+    # A file that is not UTF-8 is a file error (exit 3); a UTF-8 spec that
+    # is not JSON stays a usage error (exit 2).
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    got, out, err = run_cli(capsys, *argv, str(path))
+    assert (got, out) == (code, "")
+    assert err.startswith("error:")
 
 
 def test_certify_cli_empty_spec_stdin(capsys, monkeypatch):

@@ -1,0 +1,37 @@
+"""The package's layering, as README states it: each module imports only the
+modules listed above it. ``__init__`` and ``__main__`` are exempt."""
+
+import ast
+from pathlib import Path
+
+import kalliance
+
+LAYERS = ("graphs", "alliances", "solver", "bounds", "corpus", "known_values", "cli")
+PACKAGE = Path(kalliance.__file__).resolve().parent
+
+
+def package_imports(name: str) -> set[str]:
+    """The package modules that module ``name`` imports, through
+    ``from .x import ...`` or ``from . import x``, anywhere in its source."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_the_layer_list_names_every_module():
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+def test_each_module_imports_only_the_modules_above_it():
+    # The cli reads both relative forms; an empty set there would mean the
+    # walk saw no imports at all.
+    assert {"bounds", "corpus", "solver"} <= package_imports("cli")
+    for position, name in enumerate(LAYERS):
+        below = package_imports(name) - set(LAYERS[:position])
+        assert not below, f"{name} imports {sorted(below)}, which README lists below it"

@@ -15,7 +15,7 @@ from kalliance.alliances import (
     is_dominating,
     is_total_dominating,
 )
-from kalliance.bounds import kn_closed_form, parity_collapse
+from kalliance.bounds import parity_collapse
 from kalliance.graphs import (
     Graph,
     complete_graph,
@@ -52,26 +52,10 @@ def outcome(result):
 # Frozen exact values
 # ---------------------------------------------------------------------------
 
-def test_cube_alliance_numbers():
-    assert solve(Q3, PARAM_A_K, -1).value == 2
-    assert solve(Q3, PARAM_A_K, 0).value == 4
-    assert solve(Q3, PARAM_GAMMA_K_A, -1).value == 4
-    assert solve(Q3, PARAM_GAMMA_K_A, 0).value == 4
-    assert solve(Q3, PARAM_GAMMA).value == 2
-    assert solve(Q3, PARAM_GAMMA_T).value == 4
-
-
 def test_cube_witnesses_are_lex_least():
     assert solve(Q3, PARAM_A_K, -1).witness_members() == (0, 1)
     assert solve(Q3, PARAM_GAMMA).witness_members() == (0, 7)
     assert solve(Q3, PARAM_GAMMA_T).witness_members() == (0, 1, 2, 3)
-
-
-def test_complete_graph_matches_closed_form():
-    g = complete_graph(7)
-    assert solve(g, PARAM_GAMMA_K_A, 2).value == 5
-    for k in range(-6, 7):
-        assert solve(g, PARAM_GAMMA_K_A, k).value == kn_closed_form(7, k)
 
 
 def test_petersen_values():
