@@ -1,9 +1,14 @@
 """Exact minimum-cardinality solvers for the alliance and domination
 parameters, plus an independent brute-force oracle.
 
-``solve`` scans cardinalities upward from 1; within a cardinality, subsets
-are visited in lexicographic order and the first feasible one wins, which
-pins the witness to the lexicographically least minimum-cardinality set.
+``solve`` scans cardinalities upward; within a cardinality, subsets are
+visited in lexicographic order and the first feasible one wins, which pins
+the witness to the lexicographically least minimum-cardinality set. The
+scan starts at 1, except on dominating, not connected problems where some
+member needs two or more inside neighbours: there it starts at the value of
+a dynamic program over a linear layout (``_layout_value``), a second exact
+engine that shares no code with the lex search, unless the layout is too
+wide for it.
 What a feasible set must meet is one ``problem``: whether it must dominate,
 whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
@@ -19,7 +24,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .alliances import PARAMETERS, Parameter, VertexSet, lookup_parameter, meets
 from .graphs import Graph
@@ -42,7 +48,8 @@ class SearchStats:
 
     ``subsets`` counts the complete sets tested. ``prunes`` counts the
     partial sets cut, plus the siblings a tail rule skips from the one it
-    fired on.
+    fired on. A solve that takes its floor from the layout DP counts only
+    the lex search from that floor, but its ``seconds`` include the DP.
     """
 
     subsets: int
@@ -417,6 +424,164 @@ class _Search:
         return 0
 
 
+_LAYOUT_STARTS = 4
+# The layout DP runs only when its layout bounds the states of every step by
+# this, which caps its memory. A cubic graph at k = 0 has at most 4 codes
+# per frontier vertex, so layouts up to 10 wide pass: every seeded
+# random_cubic tried up to n = 50. Dense graphs fail (the complete graph
+# from n = 11 at k = 0), and there the lex engine scans from size 1.
+_LAYOUT_MAX_STATES = 1 << 20
+
+
+def _layout(g: Graph, req: tuple[int, ...]) -> tuple[list[int], int]:
+    """A vertex order for the layout DP, and a bound on the states it keeps
+    in any one step.
+
+    The frontier after a step is the placed vertices with a neighbour not
+    yet placed. A frontier vertex with ``p`` placed and ``l`` unplaced
+    neighbours has at most ``1 + [p > 0]`` out codes and the in codes
+    ``2 + c`` with ``max(0, req - l) <= c <= min(req, p)``, so a step keeps
+    at most the product of those counts over its frontier. From each of a
+    few fixed starts the order places next the vertex that grows the
+    frontier least, then the one with the most placed neighbours, then the
+    lowest; the order whose largest bound is smallest wins, then the one
+    with the smallest summed bound, then the earlier start.
+    """
+    n = g.n
+    adj = g.adjacency
+    deg = g.degrees
+    best = None
+    for first in range(0, n, max(1, -(-n // _LAYOUT_STARTS))):
+        left = list(deg)  # neighbours not yet placed, per vertex
+        placed = frontier = ones = 0  # ones: frontier vertices with one left
+        order = []
+        peak = total = 0
+        v = first
+        while True:
+            b = 1 << v
+            placed |= b
+            order.append(v)
+            frontier |= b
+            m = adj[v] | b
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if u != v:
+                    left[u] -= 1
+                if not left[u]:
+                    frontier &= ~(1 << u)
+                    ones &= ~(1 << u)
+                elif left[u] == 1 and frontier >> u & 1:
+                    ones |= 1 << u
+            bound = 1
+            m = frontier
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                p, r = deg[u] - left[u], req[u]
+                bound *= 1 + (p > 0) + max(0, min(r, p) - max(0, r - left[u]) + 1)
+            peak = max(peak, bound)
+            total += bound
+            if len(order) == n:
+                break
+            v = min(
+                (((adj[w] & ~placed) != 0) - (adj[w] & ones).bit_count(),
+                 -(adj[w] & placed).bit_count(), w)
+                for w in range(n) if not placed >> w & 1
+            )[2]
+        if best is None or (peak, total) < best[0]:
+            best = (peak, total), order
+    return ([], 1) if best is None else (best[1], best[0][0])
+
+
+def _codes_at(positions: list[int]):
+    """A function from a frontier state to the tuple of its codes at
+    ``positions``."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda state: (state[i],)
+    return itemgetter(*positions) if positions else lambda state: ()
+
+
+def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | None:
+    """Least size of a feasible set of a dominating, not connected problem,
+    or None when there is none, by dynamic programming over ``_layout``.
+    When the layout cannot bound every step by ``_LAYOUT_MAX_STATES``
+    states, it runs nothing and returns 0, a floor that says nothing.
+
+    It shares no code with ``_Search``. Each vertex of the frontier has a
+    code: 0 out and undominated, 1 out and dominated, ``2 + c`` in with ``c``
+    inside neighbours placed so far, clipped at ``req``; the DP keeps the
+    least size of each frontier state. A member whose count plus its
+    unplaced neighbours falls below ``req`` is dropped at once, and a vertex
+    leaves the frontier once all its neighbours are placed, never while
+    undominated or short of ``req``. Placing ``v`` in keeps ``c`` plus the
+    unplaced count of each member neighbour, so only placing it out can
+    strand one. What placing ``v`` does to a state depends only on the codes
+    of ``v``'s placed neighbours, so each step tabulates it once per such
+    code tuple.
+    """
+    dominating, connected, req = posed
+    if not dominating or connected:
+        raise ValueError("the layout DP solves dominating, not connected problems only")
+    order, most = _layout(g, req)
+    if most > _LAYOUT_MAX_STATES:
+        return 0
+    adj = g.adjacency
+    left = list(g.degrees)  # neighbours not yet placed, per vertex
+    frontier: list[int] = []
+    states = {(): 0}
+    for v in order:
+        near = [u for u in frontier if adj[v] >> u & 1]
+        for u in near:
+            left[u] -= 1
+        left[v] -= len(near)
+        r = req[v]
+        stays = left[v] > 0
+        kept = [j for j, u in enumerate(near) if left[u]]
+        far = [i for i, u in enumerate(frontier) if left[u] and not adj[v] >> u & 1]
+        far_codes = _codes_at(far)
+        near_codes = _codes_at([i for i, u in enumerate(frontier) if adj[v] >> u & 1])
+        moves: dict[tuple[int, ...], tuple] = {}  # near codes -> (tail out, tail in)
+        placed: dict[tuple[int, ...], int] = {}
+        for state, size in states.items():
+            codes = near_codes(state)
+            move = moves.get(codes)
+            if move is None:
+                inside = sum(c >= 2 for c in codes)
+                # Out: no member neighbour may fall short for good, and no
+                # undominated vertex may leave.
+                fits = stays or inside
+                for u, c in zip(near, codes):
+                    if (c >= 2 and c - 2 + left[u] < req[u]) or (c == 0 and not left[u]):
+                        fits = False
+                tail_out = None
+                if fits:
+                    tail_out = tuple([codes[j] for j in kept])
+                    if stays:
+                        tail_out += (int(inside > 0),)
+                have = min(inside, r)
+                tail_in = None
+                if have + left[v] >= r:
+                    tail_in = tuple(
+                        [1 if codes[j] < 2 else min(codes[j] + 1, 2 + req[near[j]]) for j in kept]
+                    ) + ((2 + have,) if stays else ())
+                move = moves[codes] = tail_out, tail_in
+            head = far_codes(state)
+            tail_out, tail_in = move
+            if tail_out is not None:
+                key = head + tail_out
+                if placed.get(key, size + 1) > size:
+                    placed[key] = size
+            if tail_in is not None:
+                key = head + tail_in
+                if placed.get(key, size + 2) > size + 1:
+                    placed[key] = size + 1
+        frontier = [frontier[i] for i in far] + [near[j] for j in kept] + ([v] if stays else [])
+        states = placed
+    return states.get(())
+
+
 def _solve_from(
     g: Graph,
     parameter: str,
@@ -478,9 +643,17 @@ def solve(
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
     error.
 
-    Sizes are scanned from 1 upward, so the result depends only on the
-    graph and ``problem(g, parameter, k)``. The bound
-    catalogue is checked against that result (``corpus``), never used by it.
+    The result depends only on the graph and ``problem(g, parameter, k)``.
+    Most problems are scanned by the lex engine from size 1 upward. On a
+    dominating, not connected problem with some ``req[v] >= 2`` (gamma_k_a
+    once k is high enough), the layout DP gives the exact value s* first and
+    the lex engine searches from s* for the lex-least witness, so the sizes
+    below s* rest on the DP alone: a DP value too high would be a wrong
+    answer, and ``tests/test_layout_dp.py`` compares the DP with the lex
+    engine from 1 and with the oracle. Where the DP declines (a layout too
+    wide to bound its states) it gives the floor 0 and the scan starts at 1.
+    The bound catalogue is checked against the result (``corpus``), never
+    used by it.
     """
     posed = problem(g, parameter, k)
     cap = _resolve_cap(max_n)
@@ -489,7 +662,17 @@ def solve(
             f"order {g.n} exceeds the search cap {cap}; raise {MAX_N_ENV_VAR} "
             "or pass max_n to override"
         )
-    return _solve_from(g, parameter, k, posed, 1)
+    dominating, connected, req = posed
+    if not dominating or connected or max(req, default=0) < 2:
+        return _solve_from(g, parameter, k, posed, 1)
+    start = time.perf_counter()
+    least = _layout_value(g, posed)
+    if least is None:
+        return SolveResult(
+            parameter, k, STATUS_NONE, None, None, SearchStats(0, 0, time.perf_counter() - start)
+        )
+    res = _solve_from(g, parameter, k, posed, max(least, 1))
+    return replace(res, stats=replace(res.stats, seconds=time.perf_counter() - start))
 
 
 # ---------------------------------------------------------------------------
