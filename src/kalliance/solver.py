@@ -1,14 +1,13 @@
 """Exact minimum-cardinality solvers for the alliance and domination
 parameters, plus an independent brute-force oracle.
 
-``solve`` scans cardinalities upward; within a cardinality, subsets are
-visited in lexicographic order and the first feasible one wins, which pins
-the witness to the lexicographically least minimum-cardinality set. The
-scan starts at 1, except on dominating, not connected problems where some
-member needs two or more inside neighbours: there it starts at the value of
-a dynamic program over a linear layout (``_layout_value``), a second exact
-engine that shares no code with the lex search, unless the layout is too
-wide for it.
+``solve`` answers each problem with one of two exact engines that share no
+code; both give the lexicographically least minimum-cardinality set. The lex
+engine (``_Search``) scans cardinalities upward, visits the subsets of each
+in lexicographic order and stops at the first feasible one. A dynamic
+program over a linear layout (``_layout_value``) answers instead on
+dominating, not connected problems where some member needs two or more
+inside neighbours, unless the layout is too wide for it.
 What a feasible set must meet is one ``problem``: whether it must dominate,
 whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
@@ -24,7 +23,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 from .alliances import PARAMETERS, Parameter, VertexSet, lookup_parameter, meets
@@ -46,10 +45,10 @@ class ResourceLimitError(RuntimeError):
 class SearchStats:
     """Search effort, counted the same way on every machine.
 
-    ``subsets`` counts the complete sets tested. ``prunes`` counts the
-    partial sets cut, plus the siblings a tail rule skips from the one it
-    fired on. A solve that takes its floor from the layout DP counts only
-    the lex search from that floor, but its ``seconds`` include the DP.
+    ``subsets`` counts the complete sets the lex engine tested. ``prunes``
+    counts the partial sets it cut, plus the siblings a tail rule skips from
+    the one it fired on. A solve the layout DP answers runs no lex search and
+    counts neither.
     """
 
     subsets: int
@@ -81,11 +80,7 @@ class SolveResult:
         if self.found:
             out["value"] = self.value
             out["witness"] = list(self.witness.members)
-        out["stats"] = {
-            "subsets": self.stats.subsets,
-            "prunes": self.stats.prunes,
-            "seconds": self.stats.seconds,
-        }
+        out["stats"] = asdict(self.stats)
         return out
 
 
@@ -504,34 +499,42 @@ def _codes_at(positions: list[int]):
 
 
 def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | None:
-    """Least size of a feasible set of a dominating, not connected problem,
-    or None when there is none, by dynamic programming over ``_layout``.
-    When the layout cannot bound every step by ``_LAYOUT_MAX_STATES``
-    states, it runs nothing and returns 0, a floor that says nothing.
+    """Lex-least optimum of a dominating, not connected problem, as a
+    bitmask, or 0 when no feasible set exists, by dynamic programming over
+    ``_layout``. When the layout cannot bound every step by
+    ``_LAYOUT_MAX_STATES`` states, it runs nothing and returns None.
 
     It shares no code with ``_Search``. Each vertex of the frontier has a
     code: 0 out and undominated, 1 out and dominated, ``2 + c`` in with ``c``
-    inside neighbours placed so far, clipped at ``req``; the DP keeps the
-    least size of each frontier state. A member whose count plus its
-    unplaced neighbours falls below ``req`` is dropped at once, and a vertex
-    leaves the frontier once all its neighbours are placed, never while
-    undominated or short of ``req``. Placing ``v`` in keeps ``c`` plus the
-    unplaced count of each member neighbour, so only placing it out can
+    inside neighbours placed so far, clipped at ``req``. A member whose count
+    plus its unplaced neighbours falls below ``req`` is dropped at once, and
+    a vertex leaves the frontier once all its neighbours are placed, never
+    while undominated or short of ``req``. Placing ``v`` in keeps ``c`` plus
+    the unplaced count of each member neighbour, so only placing it out can
     strand one. What placing ``v`` does to a state depends only on the codes
     of ``v``'s placed neighbours, so each step tabulates it once per such
     code tuple.
+
+    Each state keeps the least ``size << n | (full ^ rev)`` of the sets
+    reaching it, ``rev`` having bit ``n - 1 - v`` for each member ``v``: the
+    least size, then the largest ``rev``, the set holding the lowest vertex
+    where two differ, which is the lex-least. Placing ``v`` in adds a fixed
+    amount, so each state's best set extends a best set of the step before.
     """
     dominating, connected, req = posed
     if not dominating or connected:
         raise ValueError("the layout DP solves dominating, not connected problems only")
     order, most = _layout(g, req)
     if most > _LAYOUT_MAX_STATES:
-        return 0
+        return None
+    n = g.n
+    full = (1 << n) - 1
     adj = g.adjacency
     left = list(g.degrees)  # neighbours not yet placed, per vertex
     frontier: list[int] = []
-    states = {(): 0}
+    states = {(): full}
     for v in order:
+        step = (1 << n) - (1 << (n - 1 - v))  # placing v in: one more member, v's bit of rev
         near = [u for u in frontier if adj[v] >> u & 1]
         for u in near:
             left[u] -= 1
@@ -544,7 +547,7 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
         near_codes = _codes_at([i for i, u in enumerate(frontier) if adj[v] >> u & 1])
         moves: dict[tuple[int, ...], tuple] = {}  # near codes -> (tail out, tail in)
         placed: dict[tuple[int, ...], int] = {}
-        for state, size in states.items():
+        for state, value in states.items():
             codes = near_codes(state)
             move = moves.get(codes)
             if move is None:
@@ -571,15 +574,17 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
             tail_out, tail_in = move
             if tail_out is not None:
                 key = head + tail_out
-                if placed.get(key, size + 1) > size:
-                    placed[key] = size
+                if placed.get(key, value + 1) > value:
+                    placed[key] = value
             if tail_in is not None:
                 key = head + tail_in
-                if placed.get(key, size + 2) > size + 1:
-                    placed[key] = size + 1
+                grown = value + step
+                if placed.get(key, grown + 1) > grown:
+                    placed[key] = grown
         frontier = [frontier[i] for i in far] + [near[j] for j in kept] + ([v] if stays else [])
         states = placed
-    return states.get(())
+    rev = full ^ (states[()] & full) if () in states else 0  # bit n - 1 - v is v's
+    return int(format(rev, f"0{n}b")[::-1], 2)
 
 
 def _solve_from(
@@ -615,22 +620,24 @@ def _solve_from(
         # The leaf test of ``_Search``; with no slot left its verdict does
         # not depend on ``pos``.
         if search._prune(bits, cover, g.n, 0) is None:
-            return SolveResult(
-                parameter, k, STATUS_FOUND, floor, VertexSet(g, bits),
-                SearchStats(0, 0, time.perf_counter() - start),
-            )
-    subsets = prunes = 0
+            return _result(g, parameter, k, bits, 0, 0, start)
+    hit, subsets, prunes = None, 0, 0
     for size in range(floor, g.n + 1):
         hit, s, p = search.run(size)
         subsets += s
         prunes += p
         if hit is not None:
-            return SolveResult(
-                parameter, k, STATUS_FOUND, size, VertexSet(g, hit),
-                SearchStats(subsets, prunes, time.perf_counter() - start),
-            )
+            break
+    return _result(g, parameter, k, hit, subsets, prunes, start)
+
+
+def _result(g, parameter, k, bits, subsets, prunes, start) -> SolveResult:
+    """The result whose witness is the bitmask ``bits``, or ``none_exists``
+    when ``bits`` is None or 0; its seconds run from ``start``."""
     stats = SearchStats(subsets, prunes, time.perf_counter() - start)
-    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
+    if not bits:
+        return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
+    return SolveResult(parameter, k, STATUS_FOUND, bits.bit_count(), VertexSet(g, bits), stats)
 
 
 def solve(
@@ -643,17 +650,14 @@ def solve(
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
     error.
 
-    The result depends only on the graph and ``problem(g, parameter, k)``.
-    Most problems are scanned by the lex engine from size 1 upward. On a
-    dominating, not connected problem with some ``req[v] >= 2`` (gamma_k_a
-    once k is high enough), the layout DP gives the exact value s* first and
-    the lex engine searches from s* for the lex-least witness, so the sizes
-    below s* rest on the DP alone: a DP value too high would be a wrong
-    answer, and ``tests/test_layout_dp.py`` compares the DP with the lex
-    engine from 1 and with the oracle. Where the DP declines (a layout too
-    wide to bound its states) it gives the floor 0 and the scan starts at 1.
-    The bound catalogue is checked against the result (``corpus``), never
-    used by it.
+    The result depends only on the graph and ``problem(g, parameter, k)``,
+    and one engine gives it. A dominating, not connected problem with some
+    ``req[v] >= 2`` (gamma_k_a once k is high enough) goes to the layout DP,
+    and no lex search is built; ``tests/test_layout_dp.py`` compares its
+    answers with the lex engine from size 1 and with the oracle. Every other
+    problem, and one whose layout is too wide for the DP, goes to the lex
+    engine from size 1. The bound catalogue is checked against the result
+    (``corpus``), never used by it.
     """
     posed = problem(g, parameter, k)
     cap = _resolve_cap(max_n)
@@ -663,16 +667,12 @@ def solve(
             "or pass max_n to override"
         )
     dominating, connected, req = posed
-    if not dominating or connected or max(req, default=0) < 2:
-        return _solve_from(g, parameter, k, posed, 1)
-    start = time.perf_counter()
-    least = _layout_value(g, posed)
-    if least is None:
-        return SolveResult(
-            parameter, k, STATUS_NONE, None, None, SearchStats(0, 0, time.perf_counter() - start)
-        )
-    res = _solve_from(g, parameter, k, posed, max(least, 1))
-    return replace(res, stats=replace(res.stats, seconds=time.perf_counter() - start))
+    if dominating and not connected and max(req, default=0) >= 2:
+        start = time.perf_counter()
+        bits = _layout_value(g, posed)
+        if bits is not None:
+            return _result(g, parameter, k, bits, 0, 0, start)
+    return _solve_from(g, parameter, k, posed, 1)
 
 
 # ---------------------------------------------------------------------------

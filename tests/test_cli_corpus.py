@@ -260,8 +260,8 @@ def _assert_cells_match_fresh_solves(g):
     fresh solve in (status, value, lex-least witness). A cell solved fresh
     also repeats its counters; a reused one never does more work than the
     lex engine from size 1, since a floor search runs the same sizes from
-    the floor up. (A fresh ``solve`` may start higher, at the layout DP's
-    value, so the work is compared with ``_solve_from(..., 1)``.)"""
+    the floor up. (A fresh ``solve`` the layout DP answers counts no node,
+    so the work is compared with ``_solve_from(..., 1)``.)"""
     outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
     cells = _cells(outcome)
     assert len(cells) == len(k_range(g)) * len(K_TARGETS) + 2
@@ -294,11 +294,13 @@ def test_reused_cells_match_fresh_solves_on_cubic_graphs(n, seed):
 def test_shortcut_cell_reports_no_work():
     g = generate("petersen")
     got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, 0]
-    fresh = solve(g, PARAM_GAMMA_K_A, 0)
+    # ``solve`` hands this cell to the layout DP, which counts no node, so
+    # the work is compared with the lex engine from size 1.
+    lex = _solve_from(g, PARAM_GAMMA_K_A, 0, problem(g, PARAM_GAMMA_K_A, 0), 1)
     # The lex-least plain 0-alliance of size 5 dominates, so it is the answer.
     assert source == "a_k k=0"
-    assert _nodes(got) == (0, 0) and sum(_nodes(fresh)) > 0
-    assert _answer(got) == _answer(fresh) == ("found", 5, (0, 1, 2, 3, 4))
+    assert _nodes(got) == (0, 0) and sum(_nodes(lex)) > 0
+    assert _answer(got) == _answer(lex) == ("found", 5, (0, 1, 2, 3, 4))
 
 
 def test_floor_search_skips_the_sizes_below_its_relaxation():

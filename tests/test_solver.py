@@ -160,12 +160,16 @@ def test_solver_matches_oracle_on_petersen():
 
 
 def test_stats_are_populated():
-    result = solve(Q3, PARAM_GAMMA_K_A, 0)
+    # gamma_t is the lex engine's problem; gamma_k_a at k = 0 the layout
+    # DP's, which tests no subset and cuts none.
+    result = solve(Q3, PARAM_GAMMA_T)
     assert result.stats.subsets > 0
     assert isinstance(result.stats.seconds, float) and result.stats.seconds > 0
     stats = result.to_json_dict()["stats"]
     assert stats["subsets"] == result.stats.subsets
     assert stats["seconds"] == result.stats.seconds
+    dp = solve(Q3, PARAM_GAMMA_K_A, 0).stats
+    assert dp.subsets == dp.prunes == 0 and dp.seconds > 0
 
 
 def test_json_shape():
@@ -345,7 +349,7 @@ def test_solver_matches_oracle_on_random_cubic(cubic_oracle_cells):
 def test_joint_counting_cuts_the_search():
     # Nodes, not seconds: the count does not depend on the machine. Deficit
     # and domination bounded apart take 13,409 nodes here. The lex engine
-    # runs from size 1: ``solve`` would start at the layout DP's value.
+    # runs from size 1: ``solve`` would hand this problem to the layout DP.
     g = random_cubic(20, 1)
     stats = _solve_from(g, PARAM_GAMMA_K_A, 0, problem(g, PARAM_GAMMA_K_A, 0), 1).stats
     assert stats.subsets + stats.prunes <= 6700
