@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import random
+import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations, count, groupby
 
@@ -256,10 +257,15 @@ def _reuse_relaxations(
     earlier whose feasible sets include every feasible set of this cell.
     Return the result, the name of the relaxation it reused, and how.
 
-    A relaxation without a solution leaves none for the cell. Otherwise the
-    largest relaxed value s' is a floor, and the lex-least witnesses of
-    value s' are tried first (``solver._solve_from`` states why a witness
-    that passes is exact).
+    A relaxation P' (``_certify_graph`` takes the same target at k - 1, a
+    lower ``req`` per vertex, and the next weaker target, a demand dropped)
+    admits every feasible set of the cell. So a relaxation without a
+    solution leaves none for the cell, and otherwise the cell's value is at
+    least the largest relaxed value s'. A lex-least witness W' of value s'
+    that meets the cell's demands is then the cell's exact value and
+    lex-least witness (a shortcut): every feasible set of size s' is
+    P'-feasible, so none comes before W' in the lex order. Failing that, the
+    lex engine searches from the floor s'.
     """
     for name, res in relaxations:
         if res.status == STATUS_NONE:
@@ -267,12 +273,15 @@ def _reuse_relaxations(
             return none, name, "none"
     if not relaxations:
         return solve(g, target, k), None, "fresh"
+    start = time.perf_counter()
     floor = max(res.value for _, res in relaxations)
-    tops = [(name, res.witness.bits) for name, res in relaxations if res.value == floor]
-    res = _solve_from(g, target, k, posed, floor, tuple(bits for _, bits in tops))
-    if res.stats.subsets or res.stats.prunes:
-        return res, tops[0][0], "floor"
-    return res, next(name for name, bits in tops if bits == res.witness.bits), "shortcut"
+    tops = [(name, res) for name, res in relaxations if res.value == floor]
+    demands = PARAMETERS[target].demands
+    for name, res in tops:
+        if meets(g, res.witness.bits, k or 0, demands):
+            stats = SearchStats(0, 0, time.perf_counter() - start)
+            return replace(res, parameter=target, k=k, stats=stats), name, "shortcut"
+    return _solve_from(g, target, k, posed, floor, start), tops[0][0], "floor"
 
 
 def _certify_graph(gs: GraphSpec) -> _GraphOutcome:

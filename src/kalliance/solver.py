@@ -48,7 +48,8 @@ class SearchStats:
     ``subsets`` counts the complete sets the lex engine tested. ``prunes``
     counts the partial sets it cut, plus the siblings a tail rule skips from
     the one it fired on. A solve the layout DP answers runs no lex search and
-    counts neither.
+    counts neither; nor does a corpus cell answered by a relaxation, whose
+    witness meets the cell's demands (a shortcut) or which has none.
     """
 
     subsets: int
@@ -593,34 +594,12 @@ def _solve_from(
     k: int | None,
     posed: tuple[bool, bool, tuple[int, ...]],
     floor: int,
-    candidates: tuple[int, ...] = (),
+    start: float,
 ) -> SolveResult:
-    """Lex-least optimum of ``posed`` among the sizes ``floor..n``, after a
-    leaf test of each candidate bitmask of size ``floor``.
-
-    ``solve`` passes floor 1 and no candidates. The corpus passes what a
-    solved relaxation P' of the same graph gives: a problem whose every
-    feasible set is P'-feasible (a lower ``req`` per vertex, or a demand
-    dropped) has a value of at least P''s value s', so the search may start
-    at s'. And when P''s lex-least witness W' passes this problem's leaf
-    test, (s', W') is the exact value and lex-least witness: every feasible
-    set of size s' is P'-feasible, so none comes before W' in the lex order
-    in which both searches visit the sets of a size. A candidate that passes
-    costs no node.
-    """
-    start = time.perf_counter()
+    """Lex-least optimum of ``posed`` among the sizes ``floor..n``, by the lex
+    engine; its seconds run from ``start``. ``solve`` passes floor 1, and the
+    corpus a floor that ``corpus._reuse_relaxations`` shows sound."""
     search = _Search(g, posed)
-    for bits in candidates:
-        cover = 0
-        m = bits
-        while m:
-            b = m & -m
-            m ^= b
-            cover |= search.serve[b.bit_length() - 1]
-        # The leaf test of ``_Search``; with no slot left its verdict does
-        # not depend on ``pos``.
-        if search._prune(bits, cover, g.n, 0) is None:
-            return _result(g, parameter, k, bits, 0, 0, start)
     hit, subsets, prunes = None, 0, 0
     for size in range(floor, g.n + 1):
         hit, s, p = search.run(size)
@@ -666,13 +645,13 @@ def solve(
             f"order {g.n} exceeds the search cap {cap}; raise {MAX_N_ENV_VAR} "
             "or pass max_n to override"
         )
+    start = time.perf_counter()  # a declined layout DP counts in the seconds
     dominating, connected, req = posed
     if dominating and not connected and max(req, default=0) >= 2:
-        start = time.perf_counter()
         bits = _layout_value(g, posed)
         if bits is not None:
             return _result(g, parameter, k, bits, 0, 0, start)
-    return _solve_from(g, parameter, k, posed, 1)
+    return _solve_from(g, parameter, k, posed, 1, start)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -255,13 +256,19 @@ def _nodes(res):
     return res.stats.subsets, res.stats.prunes
 
 
+def _lex(g, target, k):
+    """The lex engine from size 1, as ``solve`` runs it when the layout DP
+    does not answer."""
+    return _solve_from(g, target, k, problem(g, target, k), 1, time.perf_counter())
+
+
 def _assert_cells_match_fresh_solves(g):
     """Every cell, memo hit or reused along the relaxation order, equals a
     fresh solve in (status, value, lex-least witness). A cell solved fresh
     also repeats its counters; a reused one never does more work than the
     lex engine from size 1, since a floor search runs the same sizes from
     the floor up. (A fresh ``solve`` the layout DP answers counts no node,
-    so the work is compared with ``_solve_from(..., 1)``.)"""
+    so the work is compared with ``_lex``.)"""
     outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
     cells = _cells(outcome)
     assert len(cells) == len(k_range(g)) * len(K_TARGETS) + 2
@@ -272,7 +279,7 @@ def _assert_cells_match_fresh_solves(g):
         if source is None:
             assert _nodes(got) == _nodes(fresh), (target, k)
         else:
-            lex = _solve_from(g, target, k, problem(g, target, k), 1)
+            lex = _lex(g, target, k)
             assert all(a <= b for a, b in zip(_nodes(got), _nodes(lex))), (target, k, source)
 
 
@@ -296,7 +303,7 @@ def test_shortcut_cell_reports_no_work():
     got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, 0]
     # ``solve`` hands this cell to the layout DP, which counts no node, so
     # the work is compared with the lex engine from size 1.
-    lex = _solve_from(g, PARAM_GAMMA_K_A, 0, problem(g, PARAM_GAMMA_K_A, 0), 1)
+    lex = _lex(g, PARAM_GAMMA_K_A, 0)
     # The lex-least plain 0-alliance of size 5 dominates, so it is the answer.
     assert source == "a_k k=0"
     assert _nodes(got) == (0, 0) and sum(_nodes(lex)) > 0
@@ -323,29 +330,34 @@ def test_none_propagates_from_a_relaxation():
         fresh = solve(g, target, 2)
         # The lex engine from size 1 refutes every size; the layout DP that
         # ``solve`` asks first on gamma_k_a refutes them without a node.
-        lex = _solve_from(g, target, 2, problem(g, target, 2), 1)
+        lex = _lex(g, target, 2)
         assert got_source == source
         assert _answer(got) == _answer(fresh) == _answer(lex) == ("none_exists", None, None)
         assert _nodes(got) == (0, 0) and sum(_nodes(lex)) > 0
 
 
 def test_corpus_solves_each_distinct_problem_once(monkeypatch):
-    solves, searches = [], []
-    real_solve, real_from = solver.solve, corpus._solve_from
+    solves, reuses, searches = [], [], []
+    real_solve, real_reuse, real_from = solver.solve, corpus._reuse_relaxations, corpus._solve_from
 
     def counting_solve(g, parameter, k=None, **kwargs):
         solves.append((parameter, k))
         return real_solve(g, parameter, k, **kwargs)
 
-    def counting_from(g, parameter, k, posed, floor, candidates=()):
-        res = real_from(g, parameter, k, posed, floor, candidates)
-        kind = "floor" if sum(_nodes(res)) else "shortcut"
-        searches.append((kind, parameter, k, floor))
-        return res
+    def counting_reuse(g, target, k, posed, relaxations):
+        before = len(searches)
+        res, source, how = real_reuse(g, target, k, posed, relaxations)
+        reuses.append((how, target, k, res.value, len(searches) - before))
+        return res, source, how
+
+    def counting_from(g, parameter, k, posed, floor, start):
+        searches.append((parameter, k, floor))
+        return real_from(g, parameter, k, posed, floor, start)
 
     monkeypatch.setattr(solver, "solve", counting_solve)
     monkeypatch.setattr(corpus, "solve", counting_solve)
     monkeypatch.setattr(bounds, "solve", counting_solve)
+    monkeypatch.setattr(corpus, "_reuse_relaxations", counting_reuse)
     monkeypatch.setattr(corpus, "_solve_from", counting_from)
     spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
     result = run_corpus(spec)
@@ -358,20 +370,32 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     # other problem starts from one. The second solve is the sampled
     # re-solve of a reused cell.
     assert solves == [(PARAM_A_K, -3), (PARAM_GAMMA_K_A, -3)]
+    # A floor search runs the lex engine from the floor; a shortcut cell is
+    # answered by a relaxation's witness and runs none.
     assert searches == [
-        ("floor", PARAM_GAMMA_K_A, -3, 1),
-        ("floor", PARAM_GAMMA_K_CA, -3, 3),
-        ("floor", PARAM_A_K, -2, 1),
-        ("floor", PARAM_GAMMA_K_A, -2, 3),
-        ("shortcut", PARAM_GAMMA_K_CA, -2, 4),
-        ("floor", PARAM_A_K, 0, 2),
-        ("shortcut", PARAM_GAMMA_K_A, 0, 5),
-        ("shortcut", PARAM_GAMMA_K_CA, 0, 5),
-        ("floor", PARAM_A_K, 2, 5),
-        ("shortcut", PARAM_GAMMA_K_A, 2, 10),
-        ("shortcut", PARAM_GAMMA_K_CA, 2, 10),
+        (PARAM_GAMMA_K_A, -3, 1),
+        (PARAM_GAMMA_K_CA, -3, 3),
+        (PARAM_A_K, -2, 1),
+        (PARAM_GAMMA_K_A, -2, 3),
+        (PARAM_A_K, 0, 2),
+        (PARAM_A_K, 2, 5),
     ]
-    assert 1 + len(searches) == 4 * len(K_TARGETS)
+    # (how, target, k, value, lex searches run)
+    assert reuses == [
+        ("fresh", PARAM_A_K, -3, 1, 0),
+        ("floor", PARAM_GAMMA_K_A, -3, 3, 1),
+        ("floor", PARAM_GAMMA_K_CA, -3, 4, 1),
+        ("floor", PARAM_A_K, -2, 2, 1),
+        ("floor", PARAM_GAMMA_K_A, -2, 4, 1),
+        ("shortcut", PARAM_GAMMA_K_CA, -2, 4, 0),
+        ("floor", PARAM_A_K, 0, 5, 1),
+        ("shortcut", PARAM_GAMMA_K_A, 0, 5, 0),
+        ("shortcut", PARAM_GAMMA_K_CA, 0, 5, 0),
+        ("floor", PARAM_A_K, 2, 10, 1),
+        ("shortcut", PARAM_GAMMA_K_A, 2, 10, 0),
+        ("shortcut", PARAM_GAMMA_K_CA, 2, 10, 0),
+    ]
+    assert len(reuses) == 4 * len(K_TARGETS)
     reuse = {name: count for name, count in result.checks_run.items() if name.startswith("reuse_")}
     assert reuse == {"reuse_none": 0, "reuse_shortcut": 5, "reuse_floor": 6, "reuse_resolved": 1}
 
@@ -379,8 +403,8 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
 def test_a_wrong_reuse_is_caught_by_the_fresh_re_solve(monkeypatch):
     real_from = corpus._solve_from
 
-    def one_too_many(g, parameter, k, posed, floor, candidates=()):
-        res = real_from(g, parameter, k, posed, floor, candidates)
+    def one_too_many(g, parameter, k, posed, floor, start):
+        res = real_from(g, parameter, k, posed, floor, start)
         return replace(res, value=res.value + 1) if res.found else res
 
     monkeypatch.setattr(corpus, "_solve_from", one_too_many)
@@ -444,13 +468,13 @@ def _petersen_violations_with_a_wrong_value(monkeypatch, target, k, value):
     """Certify the Petersen graph with the problem that ``target`` poses at
     ``k`` solved to ``value``; its witness is left as solved."""
     posed = solver.problem(generate("petersen"), target, k)
-    real_from = corpus._solve_from
+    real_reuse = corpus._reuse_relaxations
 
-    def wrong(g, parameter, k, key, floor, candidates=()):
-        res = real_from(g, parameter, k, key, floor, candidates)
-        return replace(res, value=value) if key == posed else res
+    def wrong(g, parameter, k, key, relaxations):
+        res, source, how = real_reuse(g, parameter, k, key, relaxations)
+        return (replace(res, value=value) if key == posed else res), source, how
 
-    monkeypatch.setattr(corpus, "_solve_from", wrong)
+    monkeypatch.setattr(corpus, "_reuse_relaxations", wrong)
     return _petersen_cells_and_violations()[1]
 
 
@@ -475,17 +499,18 @@ def test_lower_sqrt_catches_a_value_below_the_size_bound(monkeypatch):
 
 def test_a_none_cell_under_a_catalogue_upper_bound_is_reported(monkeypatch):
     posed = solver.problem(generate("petersen"), PARAM_GAMMA_K_A, 0)
-    real_from = corpus._solve_from
+    real_reuse = corpus._reuse_relaxations
 
-    def none_found(g, parameter, k, key, floor, candidates=()):
-        res = real_from(g, parameter, k, key, floor, candidates)
+    def none_found(g, parameter, k, key, relaxations):
+        res, source, how = real_reuse(g, parameter, k, key, relaxations)
         if key != posed:
-            return res
+            return res, source, how
         # As a search that refuted every size would report it.
         refuted = solver.SearchStats(1, 0, 0.0)
-        return replace(res, status="none_exists", value=None, witness=None, stats=refuted)
+        none = replace(res, status="none_exists", value=None, witness=None, stats=refuted)
+        return none, source, how
 
-    monkeypatch.setattr(corpus, "_solve_from", none_found)
+    monkeypatch.setattr(corpus, "_reuse_relaxations", none_found)
     records = _certify_graph(GraphSpec.of("petersen")).records
     entry = next(e for r in records if r.k == 0 for e in r.entries if e.target == PARAM_GAMMA_K_A)
     # upper_min_degree applies at k = 0 <= min degree, and construct_upper_witness
@@ -530,8 +555,8 @@ def test_an_upper_bound_without_a_construction_fails_loudly(monkeypatch):
 def test_a_domination_row_witness_is_re_certified(monkeypatch):
     real_from = corpus._solve_from
 
-    def center_only(g, parameter, k, key, floor, candidates=()):
-        res = real_from(g, parameter, k, key, floor, candidates)
+    def center_only(g, parameter, k, key, floor, start):
+        res = real_from(g, parameter, k, key, floor, start)
         if parameter != PARAM_GAMMA_T:
             return res
         return replace(res, witness=VertexSet.from_vertices(g, [0]))

@@ -10,6 +10,8 @@ oracle. The DP is always read as ``solver._layout_value`` so that the
 fault-injection tests can replace it.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,7 +84,7 @@ def _lex_mismatches(g, ks=range(4)):
     found = []
     for target, k, posed in _dp_cells(g, ks):
         got = _dp_answer(g, posed)
-        want = _answer(_solve_from(g, target, k, posed, 1))
+        want = _answer(_solve_from(g, target, k, posed, 1, time.perf_counter()))
         if got != want:
             found.append((target, k, got, want))
     return found
@@ -151,7 +153,7 @@ def test_a_dense_graph_is_left_to_the_lex_engine():
     for n in (10, 11, 16):
         g = complete_graph(n)
         posed = problem(g, PARAM_GAMMA_K_A, 0)
-        lex = _solve_from(g, PARAM_GAMMA_K_A, 0, posed, 1)
+        lex = _solve_from(g, PARAM_GAMMA_K_A, 0, posed, 1, time.perf_counter())
         if n == 10:
             assert _dp_answer(g, posed) == _answer(lex)
             continue
@@ -159,6 +161,20 @@ def test_a_dense_graph_is_left_to_the_lex_engine():
         fresh = solver.solve(g, PARAM_GAMMA_K_A, 0)
         assert fresh.witness_members() == lex.witness_members()
         assert (fresh.stats.subsets, fresh.stats.prunes) == (lex.stats.subsets, lex.stats.prunes)
+
+
+def test_a_declined_layout_dp_counts_in_the_seconds(monkeypatch):
+    """``solve`` takes its start time once, before the layout DP, so the time
+    of a DP that declines is part of the result's seconds."""
+
+    def slow_decline(g, posed):
+        time.sleep(0.02)
+        return None
+
+    monkeypatch.setattr(solver, "_layout_value", slow_decline)
+    res = solver.solve(petersen_graph(), PARAM_GAMMA_K_A, 0)
+    assert _answer(res) == (STATUS_FOUND, 5, (0, 1, 2, 3, 4))
+    assert res.stats.subsets > 0 and res.stats.seconds >= 0.02
 
 
 def test_a_dp_solve_runs_no_lex_search(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,14 @@ def test_paths_and_cycles_meet_their_closed_forms(n):
     expected = {-2: gamma, -1: gamma_t, 0: gamma_t, 1: n, 2: n}
     for k, value in expected.items():
         assert solve(cycle, PARAM_GAMMA_K_A, k, max_n=64).value == value, k
+
+
+def test_q5_meets_its_domination_numbers():
+    """Past the oracle's cap: the 5-cube, n = 32, has gamma = 7 and
+    gamma_t = 8."""
+    q5 = hypercube_graph(5)
+    assert solve(q5, PARAM_GAMMA, max_n=32).value == 7
+    assert solve(q5, PARAM_GAMMA_T, max_n=32).value == 8
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +360,8 @@ def test_joint_counting_cuts_the_search():
     # and domination bounded apart take 13,409 nodes here. The lex engine
     # runs from size 1: ``solve`` would hand this problem to the layout DP.
     g = random_cubic(20, 1)
-    stats = _solve_from(g, PARAM_GAMMA_K_A, 0, problem(g, PARAM_GAMMA_K_A, 0), 1).stats
+    posed = problem(g, PARAM_GAMMA_K_A, 0)
+    stats = _solve_from(g, PARAM_GAMMA_K_A, 0, posed, 1, time.perf_counter()).stats
     assert stats.subsets + stats.prunes <= 6700
 
 
