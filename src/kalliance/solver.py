@@ -15,11 +15,16 @@ that way; total domination is the dominating problem in which each member
 needs one. The oracle shares no search code with ``solve``: it walks every
 nonempty subset, as a sum of single-bit masks drawn by
 ``itertools.combinations``, and asks ``alliances.meets``, the one definition
-of each demand, whether the subset meets its row's.
+of each demand, whether the subset meets its row's. One sweep of the subsets
+answers every cell of a graph: it relies only on the defensive demand being
+monotone in k, so each row asks ``meets`` at its lowest pending k alone. The
+sweep of the last graph asked is memoised, and an oracle result's seconds run
+from the start of the sweep.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -658,25 +663,68 @@ def solve(
 # Independent oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveResult:
-    """Unpruned cardinality-then-lex enumeration of all nonempty subsets."""
-    row = _validate_parameter(parameter, k)
-    if g.n > ORACLE_MAX_N:
-        raise ResourceLimitError(f"oracle is capped at n <= {ORACLE_MAX_N}")
+def _oracle_sweep(
+    g: Graph, wanted: list[tuple[str, int | None]]
+) -> dict[tuple[str, int | None], SolveResult]:
+    """The oracle's answer to each cell ``(parameter, k)`` of ``wanted``, from
+    one enumeration of the nonempty subsets in cardinality-then-lex order.
+
+    A cell's answer is the first subset that meets its row's demands at its
+    k. The defensive demand is monotone in k: a set that meets it at k meets
+    it at every lower k. So each row keeps its pending k in ascending order
+    and asks ``meets`` at the lowest only. A failure there fails every higher
+    k of that row for this subset; a pass answers that cell, and the next k
+    is asked of the same subset. A cell left once every subset is examined
+    has none, with 2^n - 1 subsets examined. Every result's seconds run from
+    the start of the sweep.
+    """
     start = time.perf_counter()
-    k_eff = k if k is not None else 0
-    demands = row.demands
+    pending: dict[str, list] = {}
+    for parameter, k in wanted:
+        pending.setdefault(parameter, []).append(k)
+    # Each row's k in descending order, so the lowest is popped from the end.
+    rows = [
+        (name, PARAMETERS[name].demands, sorted(ks, key=lambda k: k or 0, reverse=True))
+        for name, ks in pending.items()
+    ]
+    answers = {}
     examined = 0
     singletons = [1 << v for v in range(g.n)]
     for size in range(1, g.n + 1):
         for combo in itertools.combinations(singletons, size):
             examined += 1
             mask = sum(combo)
-            if meets(g, mask, k_eff, demands):
-                return SolveResult(
-                    parameter, k, STATUS_FOUND, size, VertexSet(g, mask),
-                    SearchStats(examined, 0, time.perf_counter() - start),
-                )
-    stats = SearchStats(examined, 0, time.perf_counter() - start)
-    return SolveResult(parameter, k, STATUS_NONE, None, None, stats)
+            hit = False
+            for name, demands, ks in rows:
+                while ks and meets(g, mask, ks[-1] or 0, demands):
+                    k = ks.pop()
+                    answers[name, k] = _result(g, name, k, mask, examined, 0, start)
+                    hit = True
+            if hit:
+                rows = [row for row in rows if row[2]]
+                if not rows:
+                    return answers
+    for name, _, ks in rows:
+        for k in ks:
+            answers[name, k] = _result(g, name, k, 0, examined, 0, start)
+    return answers
 
+
+@functools.lru_cache(maxsize=1)
+def _graph_sweep(g: Graph) -> dict[tuple[str, int | None], SolveResult]:
+    """The sweep of every cell of ``g``, kept for the last graph asked."""
+    return _oracle_sweep(g, cells(g))
+
+
+def brute_force_oracle(g: Graph, parameter: str, k: int | None = None) -> SolveResult:
+    """Unpruned cardinality-then-lex enumeration of all nonempty subsets.
+
+    A cell of ``cells(g)`` is read from one sweep of all of them (see
+    ``_oracle_sweep``), so its seconds run from the start of that sweep; a k
+    outside ``k_range(g)`` gets a sweep of its own cell."""
+    _validate_parameter(parameter, k)
+    if g.n > ORACLE_MAX_N:
+        raise ResourceLimitError(f"oracle is capped at n <= {ORACLE_MAX_N}")
+    if k is None or k in k_range(g):
+        return _graph_sweep(g)[parameter, k]
+    return _oracle_sweep(g, [(parameter, k)])[parameter, k]

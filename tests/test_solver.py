@@ -36,6 +36,7 @@ from kalliance.solver import (
     _Search,
     _solve_from,
     brute_force_oracle,
+    cells,
     problem,
     solve,
 )
@@ -455,23 +456,37 @@ def test_prune_rule_never_cuts_the_oracle_witness(
     assert fired_below_optimum > 0
 
 
-def test_solver_matches_oracle_on_every_small_graph():
-    """Every graph on 1-6 vertices in the networkx atlas, all five parameters,
-    k from one below the degree range to one above it."""
+def _check_atlas(max_n, cells_of):
+    """Every graph on 1..max_n vertices in the networkx atlas: asserts that
+    ``solve`` equals the oracle on each of ``cells_of(g)`` and returns the
+    number of graphs and of cells checked."""
     nx = pytest.importorskip("networkx")
     atlas = [
         Graph(h.number_of_nodes(), h.edges())
         for h in nx.graph_atlas_g()
-        if 1 <= h.number_of_nodes() <= 6
+        if 1 <= h.number_of_nodes() <= max_n
     ]
-    cells = 0
+    checked = 0
     for g in atlas:
-        for target, k in _cells(g):
+        for target, k in cells_of(g):
             expected = brute_force_oracle(g, target, k)
             assert outcome(solve(g, target, k)) == outcome(expected), (g.edges, target, k)
-            cells += 1
+            checked += 1
+    return len(atlas), checked
+
+
+def test_solver_matches_oracle_on_every_small_graph():
+    """Every graph on 1-6 vertices in the networkx atlas, all five parameters,
+    k from one below the degree range to one above it."""
     # Both counts are fixed, so the sweep cannot shrink unnoticed.
-    assert (len(atlas), cells) == (208, 6476)
+    assert _check_atlas(6, _cells) == (208, 6476)
+
+
+@pytest.mark.slow
+def test_solver_matches_oracle_on_every_graph_up_to_seven_vertices():
+    """Every graph on 1-7 vertices in the networkx atlas, every cell of
+    ``cells(g)``."""
+    assert _check_atlas(7, cells) == (1252, 38540)
 
 
 def test_relabelling_keeps_values_beyond_the_oracle():
