@@ -3,12 +3,13 @@ corpus, evaluate every applicable bound, and cross-check the whole web of
 identities the solver and bound catalog are supposed to satisfy.
 
 Results are deterministic functions of the corpus spec (all randomness is
-seeded), so the CSV artifact is byte-identical across runs.
+seeded), so the CSV artifact is byte-identical across runs. The record
+dataclasses define the report: the JSON record and entry keys are their
+fields, in order, and the CSV writes each None as an empty cell.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import random
 import time
@@ -135,14 +136,15 @@ class RowEntry:
 @dataclass
 class CertificationRecord:
     """All targets for one (graph, k) pair; k is None for the per-graph
-    domination rows."""
+    domination rows. The fields are the report's columns and JSON keys."""
 
-    graph_id: str
+    graph: str
     family: str
     n: int
     m: int
     k: int | None
     entries: list[RowEntry]
+    graph_id = property(lambda self: self.graph)  # former name, read by perfbench/spans.py
 
 
 @dataclass
@@ -169,44 +171,19 @@ class CorpusResult:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("graph,family,n,m,k,target,status,value,best_lower,best_upper,violations\n")
-        for record in self.records:
-            k_text = "" if record.k is None else str(record.k)
-            for entry in record.entries:
-                value = "" if entry.value is None else str(entry.value)
-                lower = "" if entry.best_lower is None else str(entry.best_lower)
-                upper = "" if entry.best_upper is None else str(entry.best_upper)
-                buf.write(
-                    f"{record.graph_id},{record.family},{record.n},{record.m},"
-                    f"{k_text},{entry.target},{entry.status},{value},{lower},{upper},"
-                    f"{len(entry.violations)}\n"
-                )
-        return buf.getvalue()
+        lines = ["graph,family,n,m,k,target,status,value,best_lower,best_upper,violations"]
+        for r in self.records:
+            for e in r.entries:
+                row = (r.graph, r.family, r.n, r.m, r.k, e.target, e.status,
+                       e.value, e.best_lower, e.best_upper, len(e.violations))
+                lines.append(",".join(["" if v is None else str(v) for v in row]))
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The report: each record and entry as its fields, in field order."""
         return {
             "records": [
-                {
-                    "graph": r.graph_id,
-                    "family": r.family,
-                    "n": r.n,
-                    "m": r.m,
-                    "k": r.k,
-                    "entries": [
-                        {
-                            "target": e.target,
-                            "status": e.status,
-                            "value": e.value,
-                            "best_lower": e.best_lower,
-                            "best_upper": e.best_upper,
-                            "violations": e.violations,
-                            "source": e.source,
-                        }
-                        for e in r.entries
-                    ],
-                }
-                for r in self.records
+                {**vars(r), "entries": [{**vars(e)} for e in r.entries]} for r in self.records
             ],
             "extra_violations": self.extra_violations,
             "checks_run": self.checks_run,
@@ -292,7 +269,8 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
 
     # Cells that pose the same problem (gamma is gamma_k_a at k = -max
     # degree, and on a cubic graph gamma_t is gamma_k_a at k = -2 and -1)
-    # are solved once; a reused result is relabelled with each cell's name.
+    # are solved once; a copy is relabelled with each cell's name and, as it
+    # ran no search, reports no work.
     # A new problem starts from its relaxations solved before it: the same
     # target at k - 1 (lower requirements) and the next weaker target.
     weaker = {
@@ -320,7 +298,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                     counts[f"reuse_{how}"] += 1
                     reused.append((t, k))
             else:
-                hit = replace(hit[0], parameter=t, k=k), hit[1]
+                hit = replace(hit[0], parameter=t, k=k, stats=SearchStats(0, 0, 0.0)), hit[1]
             cells[t, k] = hit
     except ResourceLimitError:
         # Only a fresh ``solve`` checks the size cap, and the first cell, a_k
@@ -374,6 +352,8 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             )
             where = f"{gid} {target}" if k is None else f"{gid} k={k} {target}"
             flag = entry.violations.append
+            # A shortcut's witness is re-certified by the very call that chose
+            # it; sparing those 1,172 calls (a few ms) would need a second path.
             demands = PARAMETERS[target].demands
             if res.found and not meets(g, res.witness.bits, k or 0, demands):
                 flag(f"{where}: witness failed re-certification")

@@ -54,7 +54,8 @@ class SearchStats:
     counts the partial sets it cut, plus the siblings a tail rule skips from
     the one it fired on. A solve the layout DP answers runs no lex search and
     counts neither; nor does a corpus cell answered by a relaxation, whose
-    witness meets the cell's demands (a shortcut) or which has none.
+    witness meets the cell's demands (a shortcut) or which has none, nor a
+    corpus cell that copies the result of a cell posing the same problem.
     """
 
     subsets: int
@@ -492,7 +493,7 @@ def _layout(g: Graph, req: tuple[int, ...]) -> tuple[list[int], int]:
             )[2]
         if best is None or (peak, total) < best[0]:
             best = (peak, total), order
-    return ([], 1) if best is None else (best[1], best[0][0])
+    return best[1], best[0][0]
 
 
 def _codes_at(positions: list[int]):

@@ -310,6 +310,27 @@ def test_shortcut_cell_reports_no_work():
     assert _answer(got) == _answer(lex) == ("found", 5, (0, 1, 2, 3, 4))
 
 
+def test_cell_stats_sum_to_the_searches_the_pass_ran(monkeypatch):
+    runs = []
+    real_reuse = corpus._reuse_relaxations
+
+    def recording_reuse(g, target, k, posed, relaxations):
+        res, source, how = real_reuse(g, target, k, posed, relaxations)
+        runs.append((how, _nodes(res)))
+        return res, source, how
+
+    monkeypatch.setattr(corpus, "_reuse_relaxations", recording_reuse)
+    outcome = _certify_graph(GraphSpec.of("petersen"))
+    # Each distinct problem is solved once: one fresh solve and six floor
+    # searches run an engine. A cell that copies another's problem ran no
+    # search, so it adds nothing to the sum.
+    searched = [nodes for how, nodes in runs if how in ("fresh", "floor")]
+    assert [how for how, _ in runs].count("fresh") == 1 and len(searched) == 7
+    summed = [sum(col) for col in zip(*(_nodes(res) for res, _ in outcome.cells.values()))]
+    assert summed == [sum(col) for col in zip(*searched)]
+    assert sum(summed) > 0
+
+
 def test_floor_search_skips_the_sizes_below_its_relaxation():
     g = generate("petersen")
     got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, -2]
