@@ -178,6 +178,13 @@ class _Search:
       unless every suffix vertex has ``req = 0``: on gamma, gamma_t and any
       regular graph the count is the closed count or the open one it
       replaces;
+    - dominating, packing: ``serve`` is symmetric, ``u`` in ``serve[w]``
+      exactly when ``w`` in ``serve[u]``, so a vertex ``u`` outside ``cover``
+      ends served only by an added vertex of ``serve[u] & [pos, n)``, its
+      suppliers. Vertices whose suppliers are pairwise disjoint each need an
+      added vertex of their own (on gamma, the packing number is at most the
+      domination number). ``_packs_past`` keeps such vertices greedily, and
+      the node is cut once it keeps more than ``need``;
     - connected, counting: order a connected completion ``S = mask | A``
       breadth-first in ``G[S]`` from its lowest member, so that each vertex
       after the first has an earlier neighbour; each added vertex is then
@@ -225,7 +232,11 @@ class _Search:
     ``req[v] >= 2``, and on a non-dominating one (``a_k``) when some
     ``req[v] >= 1``. Below that they are implied: at ``req[v] <= 1`` a
     member's deficit is 1 exactly when it is unserved, which the served
-    rules already decide.
+    rules already decide. The packing rule runs on exactly the dominating,
+    not connected problems that are left, at max ``req <= 1``, and then no
+    rule after it: gamma, gamma_t and gamma_k_a at low k. On connected
+    problems and at ``req >= 2`` it was measured to cut too few nodes to
+    pay for its walk.
 
     The same call is the leaf test: a complete set is a child with
     ``need = 0``, and it is feasible exactly when no rule fires. With no
@@ -243,6 +254,7 @@ class _Search:
     RULES = (
         "dominating_cover", "dominating_count", "connected_count", "connected_reach",
         "defensive_member", "defensive_total", "joint_count", "joint_sum",
+        "dominating_packing",
     )
 
     def __init__(self, g: Graph, problem: tuple[bool, bool, tuple[int, ...]]):
@@ -253,6 +265,7 @@ class _Search:
         self.req = req
         most = max(req, default=0)
         self.needs_def = most >= 2 if self.needs_dom else most >= 1
+        self.packs = self.needs_dom and not self.needs_conn and not self.needs_def
         self.full = (1 << n) - 1
         self.serve = serve = [a | ((r == 0) << w) for w, (a, r) in enumerate(zip(adj, req))]
         deg = g.degrees
@@ -331,8 +344,14 @@ class _Search:
             full = self.full
             if (cover | self.suffix_serve[pos]) != full:
                 return "dominating_cover"
-            if (full ^ cover).bit_count() > need * self.serve_slots[pos]:
+            unserved = full ^ cover
+            unserved_count = unserved.bit_count()
+            if unserved_count > need * self.serve_slots[pos]:
                 return "dominating_count"
+            if self.packs:  # no other rule runs on this problem
+                if unserved_count > need and self._packs_past(unserved, pos, need):
+                    return "dominating_packing"
+                return None
             short = full ^ (cover | mask)
             undominated = short.bit_count()
             if self.needs_conn and undominated > need * (self.suffix_deg[pos] - 1):
@@ -374,6 +393,35 @@ class _Search:
             if self.needs_dom and undominated > need * (self.suffix_deg[pos] - 1) - components + 1:
                 return "connected_count"
         return None
+
+    def _packs_past(self, unserved, pos, need) -> bool:
+        """Whether more than ``need`` vertices of ``unserved`` have pairwise
+        disjoint suppliers among ``pos..n-1``. Two greedy packings try: the
+        highest vertex first, then, when that keeps too few, the vertex with
+        the fewest suppliers first (ties highest first)."""
+        serve = self.serve
+        avail = self.suffix_all[pos]
+        sets = []
+        used = kept = 0
+        while unserved:
+            u = unserved.bit_length() - 1
+            unserved ^= 1 << u
+            suppliers = serve[u] & avail
+            sets.append(suppliers)
+            if not suppliers & used:
+                used |= suppliers
+                kept += 1
+                if kept > need:
+                    return True
+        sets.sort(key=int.bit_count)
+        used = kept = 0
+        for suppliers in sets:
+            if not suppliers & used:
+                used |= suppliers
+                kept += 1
+                if kept > need:
+                    return True
+        return False
 
     def _joint_capacity(self, mask, deficient, short, pos, need) -> int:
         """Sum of the ``need`` largest ``c(w)`` over ``w >= pos``: the most

@@ -423,6 +423,34 @@ def test_connected_count_charges_each_extra_component():
     assert brute_force_oracle(g, PARAM_GAMMA_K_CA, -2).value > 2 + need
 
 
+@pytest.mark.parametrize("members, pos", [((0, 1), 2), ((2, 3), 4)])
+def test_dominating_packing_counts_disjoint_suppliers(members, pos):
+    # gamma_t on C_10, where each vertex serves two. Either prefix serves
+    # four vertices, and three more serve the six left: the count passes.
+    # After {0, 1}, the suppliers of 8, 7, 4 and 3 among 2..9, {7, 9},
+    # {6, 8}, {3, 5} and {2, 4}, are pairwise disjoint, and the highest-first
+    # packing finds them. After {2, 3} it keeps only 9, 8 and 5; the
+    # fewest-suppliers-first packing keeps 9, 0, 6 and 5, whose suppliers
+    # among 4..9 are {8}, {9}, {5, 7} and {4, 6}. Either way four are needed.
+    g = cycle_graph(10)
+    search = _Search(g, problem(g, PARAM_GAMMA_T))
+    mask, cover = _prefix_state(search, members)
+    need = 3
+    assert (search.full ^ cover).bit_count() == need * search.serve_slots[pos]
+    assert search._prune(mask, cover, pos, need) == "dominating_packing"
+    search.packs = False
+    assert search._prune(mask, cover, pos, need) is None
+    assert brute_force_oracle(g, PARAM_GAMMA_T).value > 2 + need
+
+
+def test_dominating_packing_cuts_the_search():
+    # Nodes, not seconds. Without the packing rule this takes 1,214,378 nodes,
+    # and with the highest-first packing alone 87,236.
+    g = random_cubic(40, 2)
+    stats = solve(g, PARAM_GAMMA_T, max_n=g.n).stats
+    assert stats.subsets + stats.prunes <= 15000
+
+
 def _prefix_state(search, members):
     mask = cover = 0
     for v in members:
@@ -489,6 +517,42 @@ def test_solver_matches_oracle_on_every_graph_up_to_seven_vertices():
     assert _check_atlas(7, cells) == (1252, 38540)
 
 
+def _scan_without_packing(g, posed):
+    """The lex engine from size 1 with ``dominating_packing`` turned off:
+    the least hit as a bitmask, or None, and the nodes it took."""
+    search = _Search(g, posed)
+    search.packs = False
+    nodes = 0
+    for size in range(1, g.n + 1):
+        hit, subsets, prunes = search.run(size)
+        nodes += subsets + prunes
+        if hit is not None:
+            break
+    return hit, nodes
+
+
+@pytest.mark.slow
+def test_packing_keeps_every_answer_beyond_the_oracle():
+    """n = 26..40, past the oracle's cap: ``solve`` against the lex engine
+    from size 1 without ``dominating_packing``, value and witness, on seeded
+    connected cubic graphs for gamma, gamma_t and gamma_k_a at k = -1."""
+    cubic = [
+        g for g in (random_cubic(26 + 2 * (seed % 8), seed) for seed in range(24))
+        if is_connected(g)
+    ][:16]
+    assert len(cubic) == 16
+    packed = plain = 0
+    for g in cubic:
+        for target, k in ((PARAM_GAMMA, None), (PARAM_GAMMA_T, None), (PARAM_GAMMA_K_A, -1)):
+            result = solve(g, target, k, max_n=g.n)
+            hit, nodes = _scan_without_packing(g, problem(g, target, k))
+            assert outcome(result) == (STATUS_FOUND, hit.bit_count(), VertexSet(g, hit).members)
+            packed += result.stats.subsets + result.stats.prunes
+            plain += nodes
+    # The rule fired: the same answers took fewer nodes.
+    assert packed < plain
+
+
 def test_relabelling_keeps_values_beyond_the_oracle():
     """n = 24 is past the oracle's cap: compare each graph with a random
     relabelling of itself, and certify the witness mapped back."""
@@ -541,9 +605,10 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
                         break
                 witness = None if hit is None else VertexSet(g, hit).members
                 assert witness == brute_force_oracle(g, target, k).witness_members()
-    # Both counters as they were before the stop: a skipped child counts as a
-    # prune, exactly as the cut it stands for.
-    assert (subsets, prunes) == (14497, 54747)
+    # Both counters as they would be without the stop: a skipped child counts
+    # as a prune, exactly as the cut it stands for. (The gamma_k_a cells with
+    # max req <= 1 are cut by dominating_packing too.)
+    assert (subsets, prunes) == (13560, 53946)
     # The count is fixed, so the sample cannot shrink unnoticed.
     assert len(checked) == 11125
     assert "defensive_member" in checked
