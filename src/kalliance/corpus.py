@@ -48,10 +48,10 @@ from .solver import (
     SolveResult,
     cells as cell_order,
     k_range,
-    _solve_from,
     problem,
     requirements,
     solve,
+    solve_from,
 )
 
 FOREST_IDENTITY_SAMPLES = 1000
@@ -197,13 +197,14 @@ class CorpusResult:
 
 def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> VertexSet:
     """Smallest W inside s that dominates the whole graph (s itself does);
-    the first in ``combinations`` order."""
+    the first in ``combinations`` order. No dominating set has fewer than
+    gamma vertices, so the scan starts at gamma's size."""
     if len(s) == g.n:
         return gamma_witness
     pool = s.members
     full = (1 << g.n) - 1
     closed = [(1 << v) | g.adjacency[v] for v in pool]
-    for size in range(1, len(pool) + 1):
+    for size in range(len(gamma_witness), len(pool) + 1):
         for combo in combinations(range(len(pool)), size):
             cover = 0
             for i in combo:
@@ -241,8 +242,9 @@ def _reuse_relaxations(
     least the largest relaxed value s'. A lex-least witness W' of value s'
     that meets the cell's demands is then the cell's exact value and
     lex-least witness (a shortcut): every feasible set of size s' is
-    P'-feasible, so none comes before W' in the lex order. Failing that, the
-    lex engine searches from the floor s'.
+    P'-feasible, so none comes before W' in the lex order. Failing that,
+    ``solver.solve_from`` searches from the floor s', by the engine choice
+    ``solve`` makes.
     """
     for name, res in relaxations:
         if res.status == STATUS_NONE:
@@ -258,7 +260,7 @@ def _reuse_relaxations(
         if meets(g, res.witness.bits, k or 0, demands):
             stats = SearchStats(0, 0, time.perf_counter() - start)
             return replace(res, parameter=target, k=k, stats=stats), name, "shortcut"
-    return _solve_from(g, target, k, posed, floor, start), tops[0][0], "floor"
+    return solve_from(g, target, k, posed, floor, start), tops[0][0], "floor"
 
 
 def _certify_graph(gs: GraphSpec) -> _GraphOutcome:

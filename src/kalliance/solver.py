@@ -5,9 +5,11 @@ parameters, plus an independent brute-force oracle.
 code; both give the lexicographically least minimum-cardinality set. The lex
 engine (``_Search``) scans cardinalities upward, visits the subsets of each
 in lexicographic order and stops at the first feasible one. A dynamic
-program over a linear layout (``_layout_value``) answers instead on
-dominating, not connected problems where some member needs two or more
-inside neighbours, unless the layout is too wide for it.
+program over a linear layout (``_layout_value``) models the dominating, not
+connected problems where some member needs two or more inside neighbours.
+One engine choice, ``solve_from``, serves ``solve`` and the corpus's floor
+searches: on those problems the lex engine runs under a node cap, and the
+DP answers once the cap is reached, unless the layout is too wide for it.
 What a feasible set must meet is one ``problem``: whether it must dominate,
 whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
@@ -52,10 +54,12 @@ class SearchStats:
 
     ``subsets`` counts the complete sets the lex engine tested. ``prunes``
     counts the partial sets it cut, plus the siblings a tail rule skips from
-    the one it fired on. A solve the layout DP answers runs no lex search and
-    counts neither; nor does a corpus cell answered by a relaxation, whose
-    witness meets the cell's demands (a shortcut) or which has none, nor a
-    corpus cell that copies the result of a cell posing the same problem.
+    the one it fired on. A solve the layout DP answers counts the lex nodes
+    spent before the node cap handed it over, and the DP's own work counts
+    in neither. A corpus cell answered by a relaxation, whose witness meets
+    the cell's demands (a shortcut) or which has none, counts neither, nor
+    does a corpus cell that copies the result of a cell posing the same
+    problem.
     """
 
     subsets: int
@@ -298,12 +302,11 @@ class _Search:
                 fill_by.append(row)
         self.fill = n  # smallest fill position of the last node _prune passed
 
-    def run(self, size: int) -> tuple[int | None, int, int]:
-        """Lex-least feasible subset of the given size (as a bitmask) plus
-        (subsets examined, prune events)."""
-        counters = [0, 0]  # subsets examined, prune events
-        hit = self._extend(0, 0, 0, self.n - size + 1, size, counters)
-        return hit, counters[0], counters[1]
+    def run(self, size: int, counters: list[int]) -> int | None:
+        """Lex-least feasible subset of the given size, as a bitmask, or
+        None; the subsets examined and the prune events are added to
+        ``counters``."""
+        return self._extend(0, 0, 0, self.n - size + 1, size, counters)
 
     def _extend(self, mask, cover, start, stop, need, counters):
         """Visit the children ``start <= v < stop`` of a node that still
@@ -479,7 +482,8 @@ _LAYOUT_STARTS = 4
 # this, which caps its memory. A cubic graph at k = 0 has at most 4 codes
 # per frontier vertex, so layouts up to 10 wide pass: every seeded
 # random_cubic tried up to n = 50. Dense graphs fail (the complete graph
-# from n = 11 at k = 0), and there the lex engine scans from size 1.
+# from n = 11 at k = 0), and there the lex engine resumes, uncapped, at the
+# size where the node cap stopped it.
 _LAYOUT_MAX_STATES = 1 << 20
 
 
@@ -642,7 +646,31 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
     return int(format(rev, f"0{n}b")[::-1], 2)
 
 
-def _solve_from(
+# The lex engine answers a problem the layout DP models until its subsets
+# plus prunes reach this many; then the DP answers. On the small graphs of
+# the default corpus and paper-suite the DP costs about 0.5 ms a call and
+# the lex engine mostly needs under 100 nodes of a few microseconds each;
+# on cubic graphs with n = 20-26 it needs thousands, and the DP wins. Set
+# from a per-call model of the three benchmark workloads (CHANGES.md).
+_LEX_NODE_CAP = 100
+
+
+class _CapPassed(Exception):
+    """The capped lex engine reached ``_LEX_NODE_CAP``."""
+
+
+class _Capped(_Search):
+    """The lex engine that stops, by raising ``_CapPassed``, at the first
+    node it enters once its subsets plus prunes reach ``_LEX_NODE_CAP``.
+    Uncapped searches keep ``_Search._extend`` and pay nothing for it."""
+
+    def _extend(self, mask, cover, start, stop, need, counters):
+        if counters[0] + counters[1] >= _LEX_NODE_CAP:
+            raise _CapPassed
+        return super()._extend(mask, cover, start, stop, need, counters)
+
+
+def solve_from(
     g: Graph,
     parameter: str,
     k: int | None,
@@ -650,18 +678,36 @@ def _solve_from(
     floor: int,
     start: float,
 ) -> SolveResult:
-    """Lex-least optimum of ``posed`` among the sizes ``floor..n``, by the lex
-    engine; its seconds run from ``start``. ``solve`` passes floor 1, and the
-    corpus a floor that ``corpus._reuse_relaxations`` shows sound."""
-    search = _Search(g, posed)
-    hit, subsets, prunes = None, 0, 0
+    """Lex-least optimum of ``posed`` among the sizes ``floor..n``; its
+    seconds run from ``start``. ``solve`` passes floor 1, and the corpus a
+    floor that ``corpus._reuse_relaxations`` shows sound.
+
+    This is the one engine choice. The lex engine scans sizes from the
+    floor. On a problem the layout DP models (dominating, not connected,
+    some ``req[v] >= 2``) it scans under ``_LEX_NODE_CAP``; once the cap is
+    reached, the DP answers, with no floor since it is exact. If the DP
+    declines, the lex engine resumes uncapped at the size where it stopped,
+    the sizes below being refuted. Both engines give the lex-least optimum,
+    so the choice never changes a result. The stats are the lex engine's
+    nodes, which do not depend on the machine.
+    """
+    dominating, connected, req = posed
+    capped = dominating and not connected and max(req, default=0) >= 2
+    search = _Capped(g, posed) if capped else _Search(g, posed)
+    counters = [0, 0]  # subsets examined, prune events
+    hit = None
     for size in range(floor, g.n + 1):
-        hit, s, p = search.run(size)
-        subsets += s
-        prunes += p
+        try:
+            hit = search.run(size, counters)
+        except _CapPassed:
+            bits = _layout_value(g, posed)
+            if bits is not None:
+                return _result(g, parameter, k, bits, *counters, start)
+            search = _Search(g, posed)
+            hit = search.run(size, counters)
         if hit is not None:
             break
-    return _result(g, parameter, k, hit, subsets, prunes, start)
+    return _result(g, parameter, k, hit, *counters, start)
 
 
 def _result(g, parameter, k, bits, subsets, prunes, start) -> SolveResult:
@@ -683,14 +729,15 @@ def solve(
     """Exact optimum for one parameter; ``none_exists`` is a result, not an
     error.
 
-    The result depends only on the graph and ``problem(g, parameter, k)``,
-    and one engine gives it. A dominating, not connected problem with some
-    ``req[v] >= 2`` (gamma_k_a once k is high enough) goes to the layout DP,
-    and no lex search is built; ``tests/test_layout_dp.py`` compares its
-    answers with the lex engine from size 1 and with the oracle. Every other
-    problem, and one whose layout is too wide for the DP, goes to the lex
-    engine from size 1. The bound catalogue is checked against the result
-    (``corpus``), never used by it.
+    The result depends only on the graph and ``problem(g, parameter, k)``:
+    ``solve_from`` from size 1 gives it. A dominating, not connected problem
+    with some ``req[v] >= 2`` (gamma_k_a once k is high enough) goes to the
+    lex engine under a node cap and, past it, to the layout DP;
+    ``tests/test_layout_dp.py`` compares the DP's answers with the lex
+    engine from size 1 and with the oracle, and checks that the cap changes
+    no answer. Every other problem goes to the lex engine from size 1. The
+    bound catalogue is checked against the result (``corpus``), never used
+    by it.
     """
     posed = problem(g, parameter, k)
     cap = _resolve_cap(max_n)
@@ -699,13 +746,7 @@ def solve(
             f"order {g.n} exceeds the search cap {cap}; raise {MAX_N_ENV_VAR} "
             "or pass max_n to override"
         )
-    start = time.perf_counter()  # a declined layout DP counts in the seconds
-    dominating, connected, req = posed
-    if dominating and not connected and max(req, default=0) >= 2:
-        bits = _layout_value(g, posed)
-        if bits is not None:
-            return _result(g, parameter, k, bits, 0, 0, start)
-    return _solve_from(g, parameter, k, posed, 1, start)
+    return solve_from(g, parameter, k, posed, 1, time.perf_counter())
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@ import hashlib
 import io
 import json
 import random
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,8 +37,9 @@ from kalliance.graphs import (
     random_cubic,
     to_edge_list,
 )
-from kalliance.solver import _solve_from, k_range, problem, solve
+from kalliance.solver import k_range, solve
 
+from .engines import lex_solve
 from .strategies import graphs
 
 
@@ -257,18 +257,18 @@ def _nodes(res):
 
 
 def _lex(g, target, k):
-    """The lex engine from size 1, as ``solve`` runs it when the layout DP
-    does not answer."""
-    return _solve_from(g, target, k, problem(g, target, k), 1, time.perf_counter())
+    """The lex engine alone from size 1, as ``solve`` runs it with no node
+    cap."""
+    return lex_solve(g, target, k)
 
 
 def _assert_cells_match_fresh_solves(g):
     """Every cell, memo hit or reused along the relaxation order, equals a
     fresh solve in (status, value, lex-least witness). A cell solved fresh
-    also repeats its counters; a reused one never does more work than the
-    lex engine from size 1, since a floor search runs the same sizes from
-    the floor up. (A fresh ``solve`` the layout DP answers counts no node,
-    so the work is compared with ``_lex``.)"""
+    also repeats its counters. No cell does more work than the lex engine
+    alone from size 1 (``_lex``): a floor search runs the same sizes from
+    the floor up, and the engine choice counts the lex nodes it spent
+    before the layout DP answered, a prefix of that same search."""
     outcome = _certify_graph(DrawnGraphSpec("drawn", graph=g))
     cells = _cells(outcome)
     assert len(cells) == len(k_range(g)) * len(K_TARGETS) + 2
@@ -278,9 +278,8 @@ def _assert_cells_match_fresh_solves(g):
         assert _answer(got) == _answer(fresh), (target, k, source)
         if source is None:
             assert _nodes(got) == _nodes(fresh), (target, k)
-        else:
-            lex = _lex(g, target, k)
-            assert all(a <= b for a, b in zip(_nodes(got), _nodes(lex))), (target, k, source)
+        lex = _lex(g, target, k)
+        assert all(a <= b for a, b in zip(_nodes(got), _nodes(lex))), (target, k, source)
 
 
 @settings(max_examples=25)
@@ -301,8 +300,7 @@ def test_reused_cells_match_fresh_solves_on_cubic_graphs(n, seed):
 def test_shortcut_cell_reports_no_work():
     g = generate("petersen")
     got, source = _cells(_certify_graph(GraphSpec.of("petersen")))[PARAM_GAMMA_K_A, 0]
-    # ``solve`` hands this cell to the layout DP, which counts no node, so
-    # the work is compared with the lex engine from size 1.
+    # A shortcut runs no engine; the lex engine alone does work here.
     lex = _lex(g, PARAM_GAMMA_K_A, 0)
     # The lex-least plain 0-alliance of size 5 dominates, so it is the answer.
     assert source == "a_k k=0"
@@ -349,8 +347,8 @@ def test_none_propagates_from_a_relaxation():
     for target, source in ((PARAM_GAMMA_K_A, "a_k k=2"), (PARAM_GAMMA_K_CA, "gamma_k_a k=2")):
         got, got_source = cells[target, 2]
         fresh = solve(g, target, 2)
-        # The lex engine from size 1 refutes every size; the layout DP that
-        # ``solve`` asks first on gamma_k_a refutes them without a node.
+        # The lex engine from size 1 refutes every size; the none cell
+        # reads its verdict off the relaxation without a node.
         lex = _lex(g, target, 2)
         assert got_source == source
         assert _answer(got) == _answer(fresh) == _answer(lex) == ("none_exists", None, None)
@@ -359,7 +357,7 @@ def test_none_propagates_from_a_relaxation():
 
 def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     solves, reuses, searches = [], [], []
-    real_solve, real_reuse, real_from = solver.solve, corpus._reuse_relaxations, corpus._solve_from
+    real_solve, real_reuse, real_from = solver.solve, corpus._reuse_relaxations, corpus.solve_from
 
     def counting_solve(g, parameter, k=None, **kwargs):
         solves.append((parameter, k))
@@ -379,7 +377,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     monkeypatch.setattr(corpus, "solve", counting_solve)
     monkeypatch.setattr(bounds, "solve", counting_solve)
     monkeypatch.setattr(corpus, "_reuse_relaxations", counting_reuse)
-    monkeypatch.setattr(corpus, "_solve_from", counting_from)
+    monkeypatch.setattr(corpus, "solve_from", counting_from)
     spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
     result = run_corpus(spec)
     assert result.total_violations() == 0
@@ -391,7 +389,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
     # other problem starts from one. The second solve is the sampled
     # re-solve of a reused cell.
     assert solves == [(PARAM_A_K, -3), (PARAM_GAMMA_K_A, -3)]
-    # A floor search runs the lex engine from the floor; a shortcut cell is
+    # A floor search runs ``solve_from`` from the floor; a shortcut cell is
     # answered by a relaxation's witness and runs none.
     assert searches == [
         (PARAM_GAMMA_K_A, -3, 1),
@@ -401,7 +399,7 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
         (PARAM_A_K, 0, 2),
         (PARAM_A_K, 2, 5),
     ]
-    # (how, target, k, value, lex searches run)
+    # (how, target, k, value, floor searches run)
     assert reuses == [
         ("fresh", PARAM_A_K, -3, 1, 0),
         ("floor", PARAM_GAMMA_K_A, -3, 3, 1),
@@ -422,13 +420,13 @@ def test_corpus_solves_each_distinct_problem_once(monkeypatch):
 
 
 def test_a_wrong_reuse_is_caught_by_the_fresh_re_solve(monkeypatch):
-    real_from = corpus._solve_from
+    real_from = corpus.solve_from
 
     def one_too_many(g, parameter, k, posed, floor, start):
         res = real_from(g, parameter, k, posed, floor, start)
         return replace(res, value=res.value + 1) if res.found else res
 
-    monkeypatch.setattr(corpus, "_solve_from", one_too_many)
+    monkeypatch.setattr(corpus, "solve_from", one_too_many)
     result = run_corpus(CorpusSpec(graphs=(GraphSpec.of("petersen"),)))
     caught = [v for v in result.all_violations() if "a fresh solve gives" in v]
     # One reused cell per graph is solved afresh: gamma_k_a at k = -3.
@@ -574,7 +572,7 @@ def test_an_upper_bound_without_a_construction_fails_loudly(monkeypatch):
 
 
 def test_a_domination_row_witness_is_re_certified(monkeypatch):
-    real_from = corpus._solve_from
+    real_from = corpus.solve_from
 
     def center_only(g, parameter, k, key, floor, start):
         res = real_from(g, parameter, k, key, floor, start)
@@ -582,7 +580,7 @@ def test_a_domination_row_witness_is_re_certified(monkeypatch):
             return res
         return replace(res, witness=VertexSet.from_vertices(g, [0]))
 
-    monkeypatch.setattr(corpus, "_solve_from", center_only)
+    monkeypatch.setattr(corpus, "solve_from", center_only)
     records = _certify_graph(GraphSpec.of("star", n=5)).records
     # On a star gamma_t poses no k cell's problem, so it is solved once, from
     # gamma; the center alone dominates but has no neighbour inside.
@@ -603,7 +601,7 @@ def test_a_nonregular_graph_top_witness_fails_re_certification(monkeypatch):
         return found, None, "fresh"
 
     # The none of a_k at k = 4 would decide this cell, so it is forced here,
-    # not in ``_solve_from``.
+    # not in ``solve_from``.
     monkeypatch.setattr(corpus, "_reuse_relaxations", whole_set)
     records = _certify_graph(GraphSpec.of("star", n=5)).records
     entry = next(e for r in records if r.k == 4 for e in r.entries if e.target == PARAM_GAMMA_K_A)
@@ -659,7 +657,7 @@ def test_empty_corpus_spec():
 
 def test_oversize_corpus_graph_is_recorded_not_fatal(monkeypatch):
     searches = []
-    monkeypatch.setattr(corpus, "_solve_from", lambda *args: searches.append(args))
+    monkeypatch.setattr(corpus, "solve_from", lambda *args: searches.append(args))
     spec = CorpusSpec(graphs=(GraphSpec.of("complete", n=30),))
     result = run_corpus(spec)
     assert result.total_violations() == 0

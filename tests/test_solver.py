@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +15,7 @@ from kalliance.alliances import (
     is_dominating,
     is_total_dominating,
 )
+from kalliance import solver
 from kalliance.bounds import parity_collapse
 from kalliance.graphs import (
     Graph,
@@ -34,13 +34,13 @@ from kalliance.solver import (
     STATUS_FOUND,
     ResourceLimitError,
     _Search,
-    _solve_from,
     brute_force_oracle,
     cells,
     problem,
     solve,
 )
 
+from .engines import lex_solve
 from .strategies import graphs, regular_graphs
 
 Q3 = hypercube_graph(3)
@@ -169,15 +169,20 @@ def test_solver_matches_oracle_on_petersen():
         assert outcome(solve(pet, target)) == outcome(brute_force_oracle(pet, target))
 
 
-def test_stats_are_populated():
-    # gamma_t is the lex engine's problem; gamma_k_a at k = 0 the layout
-    # DP's, which tests no subset and cuts none.
+def test_stats_are_populated(monkeypatch):
+    # gamma_t is the lex engine's problem alone. gamma_k_a at k = 0 is one
+    # the layout DP models, and Q3's is small enough for the lex engine to
+    # answer under the node cap. With the cap at 0 the DP answers it, and
+    # the stats count no subset and no prune.
     result = solve(Q3, PARAM_GAMMA_T)
     assert result.stats.subsets > 0
     assert isinstance(result.stats.seconds, float) and result.stats.seconds > 0
     stats = result.to_json_dict()["stats"]
     assert stats["subsets"] == result.stats.subsets
     assert stats["seconds"] == result.stats.seconds
+    lex = solve(Q3, PARAM_GAMMA_K_A, 0).stats
+    assert (lex.subsets, lex.prunes) == (6, 16) and lex.seconds > 0
+    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
     dp = solve(Q3, PARAM_GAMMA_K_A, 0).stats
     assert dp.subsets == dp.prunes == 0 and dp.seconds > 0
 
@@ -359,10 +364,10 @@ def test_solver_matches_oracle_on_random_cubic(cubic_oracle_cells):
 def test_joint_counting_cuts_the_search():
     # Nodes, not seconds: the count does not depend on the machine. Deficit
     # and domination bounded apart take 13,409 nodes here. The lex engine
-    # runs from size 1: ``solve`` would hand this problem to the layout DP.
+    # runs from size 1 with no node cap: past it ``solve`` would hand this
+    # problem to the layout DP.
     g = random_cubic(20, 1)
-    posed = problem(g, PARAM_GAMMA_K_A, 0)
-    stats = _solve_from(g, PARAM_GAMMA_K_A, 0, posed, 1, time.perf_counter()).stats
+    stats = lex_solve(g, PARAM_GAMMA_K_A, 0).stats
     assert stats.subsets + stats.prunes <= 6700
 
 
@@ -522,13 +527,12 @@ def _scan_without_packing(g, posed):
     the least hit as a bitmask, or None, and the nodes it took."""
     search = _Search(g, posed)
     search.packs = False
-    nodes = 0
+    counters = [0, 0]
     for size in range(1, g.n + 1):
-        hit, subsets, prunes = search.run(size)
-        nodes += subsets + prunes
+        hit = search.run(size, counters)
         if hit is not None:
             break
-    return hit, nodes
+    return hit, sum(counters)
 
 
 @pytest.mark.slow
@@ -592,15 +596,14 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
                 checked.append(rule)
             return super()._extend(mask, cover, start, stop, need, counters)
 
-    subsets = prunes = 0
+    counters = [0, 0]
     for seed in range(24):
         g = random_graph(8 + seed % 5, (0.3, 0.45, 0.6)[seed % 3], 500 + seed)
         for target in (PARAM_A_K, PARAM_GAMMA_K_A, PARAM_GAMMA_K_CA):
             for k in range(-g.max_degree, g.max_degree + 1):
                 search = Probe(g, problem(g, target, k))
                 for size in range(1, g.n + 1):
-                    hit, s, p = search.run(size)
-                    subsets, prunes = subsets + s, prunes + p
+                    hit = search.run(size, counters)
                     if hit is not None:
                         break
                 witness = None if hit is None else VertexSet(g, hit).members
@@ -608,7 +611,7 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
     # Both counters as they would be without the stop: a skipped child counts
     # as a prune, exactly as the cut it stands for. (The gamma_k_a cells with
     # max req <= 1 are cut by dominating_packing too.)
-    assert (subsets, prunes) == (13560, 53946)
+    assert counters == [13560, 53946]
     # The count is fixed, so the sample cannot shrink unnoticed.
     assert len(checked) == 11125
     assert "defensive_member" in checked
