@@ -47,10 +47,6 @@ class Parameter(NamedTuple):
     requirement: str | None
 
     @property
-    def takes_k(self) -> bool:
-        return self.defensive
-
-    @property
     def demands(self) -> tuple[bool, bool, bool, bool]:
         """(defensive, dominating, total, connected), for loops that unpack
         them once per call rather than read four attributes."""

@@ -299,7 +299,7 @@ def parity_collapse(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_target(target: str):
-    if not lookup_parameter(target).takes_k:
+    if not lookup_parameter(target).defensive:
         raise ValueError(f"bounds are catalogued for the k parameters only, not {target!r}")
 
 

@@ -78,7 +78,7 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph)
     row = _BY_ALIAS[args.target]
-    if row.takes_k and args.k is not None:
+    if row.defensive and args.k is not None:
         _warn_k_range(g, args.k)
     result = solve(g, row.name, args.k)
     _emit_json(result.to_json_dict())
@@ -90,8 +90,8 @@ def _cmd_bounds(args) -> int:
     if args.assume_planar:
         g = g.with_asserted_planar()
     row = _BY_ALIAS[args.target]
-    if not row.takes_k:
-        aliases = ", ".join(a for a, r in sorted(_BY_ALIAS.items()) if r.takes_k)
+    if not row.defensive:
+        aliases = ", ".join(a for a, r in sorted(_BY_ALIAS.items()) if r.defensive)
         print(f"error: bounds are catalogued for {aliases} only", file=sys.stderr)
         return 2
     _warn_k_range(g, args.k)

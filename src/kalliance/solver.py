@@ -8,8 +8,8 @@ in lexicographic order and stops at the first feasible one. A dynamic
 program over a linear layout (``_layout_value``) models the dominating, not
 connected problems where some member needs two or more inside neighbours.
 One engine choice, ``solve_from``, serves ``solve`` and the corpus's floor
-searches: on those problems the lex engine runs under a node cap, and the
-DP answers once the cap is reached, unless the layout is too wide for it.
+searches: the DP answers those problems on graphs of order ``_DP_MIN_N`` or
+more, unless the layout is too wide for it, and the lex engine the rest.
 What a feasible set must meet is one ``problem``: whether it must dominate,
 whether it must be connected, and how many inside neighbours each member
 needs. Every row of the parameter table, ``alliances.PARAMETERS``, is posed
@@ -54,12 +54,11 @@ class SearchStats:
 
     ``subsets`` counts the complete sets the lex engine tested. ``prunes``
     counts the partial sets it cut, plus the siblings a tail rule skips from
-    the one it fired on. A solve the layout DP answers counts the lex nodes
-    spent before the node cap handed it over, and the DP's own work counts
-    in neither. A corpus cell answered by a relaxation, whose witness meets
-    the cell's demands (a shortcut) or which has none, counts neither, nor
-    does a corpus cell that copies the result of a cell posing the same
-    problem.
+    the one it fired on. A solve the layout DP answers counts neither: the
+    DP enters no lex node, and its own work is not counted. A corpus cell
+    answered by a relaxation, whose witness meets the cell's demands (a
+    shortcut) or which has none, counts neither, nor does a corpus cell that
+    copies the result of a cell posing the same problem.
     """
 
     subsets: int
@@ -97,9 +96,9 @@ class SolveResult:
 
 def _validate_parameter(parameter: str, k: int | None) -> Parameter:
     row = lookup_parameter(parameter)
-    if row.takes_k and k is None:
+    if row.defensive and k is None:
         raise ValueError(f"parameter {parameter!r} requires k")
-    if not row.takes_k and k is not None:
+    if not row.defensive and k is not None:
         raise ValueError(f"parameter {parameter!r} does not take k")
     return row
 
@@ -114,11 +113,11 @@ def k_range(g: Graph) -> range:
 
 def cells(g: Graph) -> list[tuple[str, int | None]]:
     """Every cell ``(parameter, k)`` of ``g``, in the order the corpus and
-    ``oracle-check`` walk them: at each k of ``k_range(g)`` every row that
-    takes k, then the rows without k, with k None."""
-    k_rows = [name for name, row in PARAMETERS.items() if row.takes_k]
+    ``oracle-check`` walk them: at each k of ``k_range(g)`` every defensive
+    row, then the rows without k, with k None."""
+    k_rows = [name for name, row in PARAMETERS.items() if row.defensive]
     return [(name, k) for k in k_range(g) for name in k_rows] + [
-        (name, None) for name, row in PARAMETERS.items() if not row.takes_k
+        (name, None) for name, row in PARAMETERS.items() if not row.defensive
     ]
 
 
@@ -153,9 +152,15 @@ def _resolve_cap(max_n: int | None) -> int:
     if max_n is not None:
         return max_n
     env = os.environ.get(MAX_N_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_N
+    if env is None:
+        return DEFAULT_MAX_N
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{MAX_N_ENV_VAR} must be a positive integer, not {env!r}")
+    return cap
 
 
 class _Search:
@@ -482,8 +487,7 @@ _LAYOUT_STARTS = 4
 # this, which caps its memory. A cubic graph at k = 0 has at most 4 codes
 # per frontier vertex, so layouts up to 10 wide pass: every seeded
 # random_cubic tried up to n = 50. Dense graphs fail (the complete graph
-# from n = 11 at k = 0), and there the lex engine resumes, uncapped, at the
-# size where the node cap stopped it.
+# from n = 11 at k = 0), and there the lex engine answers from the floor.
 _LAYOUT_MAX_STATES = 1 << 20
 
 
@@ -646,28 +650,10 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
     return int(format(rev, f"0{n}b")[::-1], 2)
 
 
-# The lex engine answers a problem the layout DP models until its subsets
-# plus prunes reach this many; then the DP answers. On the small graphs of
-# the default corpus and paper-suite the DP costs about 0.5 ms a call and
-# the lex engine mostly needs under 100 nodes of a few microseconds each;
-# on cubic graphs with n = 20-26 it needs thousands, and the DP wins. Set
-# from a per-call model of the three benchmark workloads (CHANGES.md).
-_LEX_NODE_CAP = 100
-
-
-class _CapPassed(Exception):
-    """The capped lex engine reached ``_LEX_NODE_CAP``."""
-
-
-class _Capped(_Search):
-    """The lex engine that stops, by raising ``_CapPassed``, at the first
-    node it enters once its subsets plus prunes reach ``_LEX_NODE_CAP``.
-    Uncapped searches keep ``_Search._extend`` and pay nothing for it."""
-
-    def _extend(self, mask, cover, start, stop, need, counters):
-        if counters[0] + counters[1] >= _LEX_NODE_CAP:
-            raise _CapPassed
-        return super()._extend(mask, cover, start, stop, need, counters)
+# The layout DP answers the problems it models from this graph order on, and
+# the lex engine below it. On seeded connected cubic graphs the lex engine
+# alone was faster at n <= 16 and the DP at n >= 18 (CHANGES.md).
+_DP_MIN_N = 18
 
 
 def solve_from(
@@ -682,29 +668,24 @@ def solve_from(
     seconds run from ``start``. ``solve`` passes floor 1, and the corpus a
     floor that ``corpus._reuse_relaxations`` shows sound.
 
-    This is the one engine choice. The lex engine scans sizes from the
-    floor. On a problem the layout DP models (dominating, not connected,
-    some ``req[v] >= 2``) it scans under ``_LEX_NODE_CAP``; once the cap is
-    reached, the DP answers, with no floor since it is exact. If the DP
-    declines, the lex engine resumes uncapped at the size where it stopped,
-    the sizes below being refuted. Both engines give the lex-least optimum,
-    so the choice never changes a result. The stats are the lex engine's
-    nodes, which do not depend on the machine.
+    This is the one engine choice, made before any search. On a problem the
+    layout DP models (dominating, not connected, some ``req[v] >= 2``) and a
+    graph with at least ``_DP_MIN_N`` vertices, the DP answers, with no
+    floor since it is exact, and the stats count no node. Otherwise, or if
+    the DP declines, the lex engine scans sizes from the floor and the stats
+    are its nodes. Both engines give the lex-least optimum, so the choice
+    never changes a result, and the stats do not depend on the machine.
     """
     dominating, connected, req = posed
-    capped = dominating and not connected and max(req, default=0) >= 2
-    search = _Capped(g, posed) if capped else _Search(g, posed)
+    if dominating and not connected and g.n >= _DP_MIN_N and max(req, default=0) >= 2:
+        bits = _layout_value(g, posed)
+        if bits is not None:
+            return _result(g, parameter, k, bits, 0, 0, start)
+    search = _Search(g, posed)
     counters = [0, 0]  # subsets examined, prune events
     hit = None
     for size in range(floor, g.n + 1):
-        try:
-            hit = search.run(size, counters)
-        except _CapPassed:
-            bits = _layout_value(g, posed)
-            if bits is not None:
-                return _result(g, parameter, k, bits, *counters, start)
-            search = _Search(g, posed)
-            hit = search.run(size, counters)
+        hit = search.run(size, counters)
         if hit is not None:
             break
     return _result(g, parameter, k, hit, *counters, start)
@@ -732,12 +713,12 @@ def solve(
     The result depends only on the graph and ``problem(g, parameter, k)``:
     ``solve_from`` from size 1 gives it. A dominating, not connected problem
     with some ``req[v] >= 2`` (gamma_k_a once k is high enough) goes to the
-    lex engine under a node cap and, past it, to the layout DP;
+    layout DP on a graph of order ``_DP_MIN_N`` or more;
     ``tests/test_layout_dp.py`` compares the DP's answers with the lex
-    engine from size 1 and with the oracle, and checks that the cap changes
-    no answer. Every other problem goes to the lex engine from size 1. The
-    bound catalogue is checked against the result (``corpus``), never used
-    by it.
+    engine from size 1 and with the oracle, and checks that the threshold
+    changes no answer. Every other problem goes to the lex engine from
+    size 1. The bound catalogue is checked against the result (``corpus``),
+    never used by it.
     """
     posed = problem(g, parameter, k)
     cap = _resolve_cap(max_n)

@@ -185,7 +185,7 @@ def test_parameter_table_verdicts_match_the_oracle(gs, k):
     g, s = gs
     for name, row in PARAMETERS.items():
         expected = meets(g, s.bits, k, row.demands)
-        search = _Search(g, problem(g, name, k if row.takes_k else None))
+        search = _Search(g, problem(g, name, k if row.defensive else None))
         cover = 0
         for v in s:
             cover |= search.serve[v]

@@ -126,6 +126,20 @@ def test_solve_k_validation(capsys, tmp_path):
     assert run_cli(capsys, "solve", "--graph", str(path), "--target", "gamma", "--k", "0")[0] == 2
 
 
+def test_solve_names_a_bad_size_cap_in_the_environment(capsys, tmp_path, monkeypatch):
+    # A cap that is not a positive integer is refused, by name and value,
+    # rather than read as an int() error or as a cap that refuses every graph.
+    path = tmp_path / "g.el"
+    path.write_text("n 2\n0 1\n")
+    for bad in ("abc", "-3", "0", ""):
+        monkeypatch.setenv("ALLIANCE_MAX_N", bad)
+        code, out, err = run_cli(capsys, "solve", "--graph", str(path), "--target", "gamma")
+        assert (code, out) == (2, "")
+        assert err == f"error: ALLIANCE_MAX_N must be a positive integer, not {bad!r}\n"
+    monkeypatch.setenv("ALLIANCE_MAX_N", "2")
+    assert run_cli(capsys, "solve", "--graph", str(path), "--target", "gamma")[0] == 0
+
+
 def test_solve_warns_on_out_of_range_k(capsys, tmp_path):
     path = tmp_path / "g.el"
     path.write_text("n 2\n0 1\n")
@@ -237,7 +251,7 @@ class DrawnGraphSpec(GraphSpec):
         return self.graph
 
 
-K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
+K_TARGETS = tuple(name for name, row in PARAMETERS.items() if row.defensive)
 
 
 def _cells(outcome) -> dict:

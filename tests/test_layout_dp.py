@@ -1,18 +1,18 @@
 """Differential tests of the layout DP, ``solver._layout_value``, and of
 the engine choice that hands problems to it, ``solver.solve_from``.
 
-On dominating, not connected problems with some ``req[v] >= 2`` the lex
-engine answers under a node cap, and past it ``solve`` returns the DP's
+On dominating, not connected problems with some ``req[v] >= 2`` and a
+graph of order ``solver._DP_MIN_N`` or more, ``solve`` returns the DP's
 answer, so a wrong value, a wrong ``none_exists`` or a feasible optimum that
 is not the lex-least would be a wrong answer that nothing inside ``solve``
 notices. These tests compare the DP's full answer (status, size and
 witness) with the two engines it shares no code with: the lex engine run
 from size 1, and the brute-force oracle. They also check that the answer
-does not depend on the cap. The DP is always read as
+does not depend on the threshold, the cap on order below which the lex
+engine answers (``tests/engines.py`` sets it). The DP is always read as
 ``solver._layout_value`` so that the fault-injection tests can replace it.
 """
 
-import math
 import time
 
 import pytest
@@ -41,7 +41,7 @@ from kalliance.graphs import (
 )
 from kalliance.solver import STATUS_FOUND, STATUS_NONE, brute_force_oracle, problem
 
-from .engines import capped_solve, lex_solve
+from .engines import DP_FIRST, LEX_ONLY, dp_threshold, lex_solve, routed_solve
 from .strategies import graphs
 
 
@@ -154,12 +154,11 @@ def test_layout_value_covers_the_edge_cases():
     assert isolated > 0 and over > 0 and none > 0
 
 
-def test_a_dense_graph_is_left_to_the_lex_engine(monkeypatch):
+def test_a_dense_graph_is_left_to_the_lex_engine():
     """The complete graph's layout cannot bound the DP's states by
     ``_LAYOUT_MAX_STATES`` from n = 11 at k = 0, so the DP declines without
-    running. With the cap at 0 the DP is asked before any lex node, and
-    ``solve`` is then the lex engine from size 1, nodes included."""
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
+    running. With the threshold at 0 the DP is asked before any lex node,
+    and ``solve`` is then the lex engine from size 1, nodes included."""
     for n in (10, 11, 16):
         g = complete_graph(n)
         posed = problem(g, PARAM_GAMMA_K_A, 0)
@@ -168,51 +167,51 @@ def test_a_dense_graph_is_left_to_the_lex_engine(monkeypatch):
             assert _dp_answer(g, posed) == _answer(lex)
             continue
         assert solver._layout_value(g, posed) is None
-        fresh = solver.solve(g, PARAM_GAMMA_K_A, 0)
+        fresh = routed_solve(g, PARAM_GAMMA_K_A, 0, DP_FIRST)
         assert fresh.witness_members() == lex.witness_members()
-        assert (fresh.stats.subsets, fresh.stats.prunes) == (lex.stats.subsets, lex.stats.prunes)
+        assert _nodes(fresh) == _nodes(lex)
 
 
 def test_a_declined_layout_dp_counts_in_the_seconds(monkeypatch):
     """``solve`` takes its start time once, before the engine choice, so the
-    time of a DP that declines is part of the result's seconds. The cap at 0
-    makes the DP the first engine asked."""
+    time of a DP that declines is part of the result's seconds. The
+    threshold at 0 makes the DP the engine asked first."""
 
     def slow_decline(g, posed):
         time.sleep(0.02)
         return None
 
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
     monkeypatch.setattr(solver, "_layout_value", slow_decline)
-    res = solver.solve(petersen_graph(), PARAM_GAMMA_K_A, 0)
+    with dp_threshold(DP_FIRST):
+        res = solver.solve(petersen_graph(), PARAM_GAMMA_K_A, 0)
     assert _answer(res) == (STATUS_FOUND, 5, (0, 1, 2, 3, 4))
     assert res.stats.subsets > 0 and res.stats.seconds >= 0.02
 
 
 def test_a_dp_solve_runs_no_lex_search(monkeypatch):
-    """With the cap at 0, ``solve`` enters no lex node on a problem the DP
-    models and accepts; it enters one only on a problem the DP does not
-    model or declines."""
+    """With the threshold at 0, ``solve`` enters no lex node on a problem
+    the DP models and accepts; it enters one only on a problem the DP does
+    not model or declines."""
 
     def no_search(*args):
         raise AssertionError("a lex node was entered")
 
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
     monkeypatch.setattr(solver._Search, "_extend", no_search)
     pet = petersen_graph()
-    dp = solver.solve(pet, PARAM_GAMMA_K_A, 0)
-    assert _answer(dp) == (STATUS_FOUND, 5, (0, 1, 2, 3, 4))
-    assert (dp.stats.subsets, dp.stats.prunes) == (0, 0)
-    assert _answer(solver.solve(star_graph(5), PARAM_GAMMA_K_A, 4)) == (STATUS_NONE, None, None)
-    for g, target, k in ((pet, PARAM_GAMMA_T, None), (complete_graph(11), PARAM_GAMMA_K_A, 0)):
-        with pytest.raises(AssertionError, match="lex node"):
-            solver.solve(g, target, k)
+    with dp_threshold(DP_FIRST):
+        dp = solver.solve(pet, PARAM_GAMMA_K_A, 0)
+        assert _answer(dp) == (STATUS_FOUND, 5, (0, 1, 2, 3, 4))
+        assert _nodes(dp) == (0, 0)
+        assert _answer(solver.solve(star_graph(5), PARAM_GAMMA_K_A, 4)) == (STATUS_NONE, None, None)
+        for g, target, k in ((pet, PARAM_GAMMA_T, None), (complete_graph(11), PARAM_GAMMA_K_A, 0)):
+            with pytest.raises(AssertionError, match="lex node"):
+                solver.solve(g, target, k)
 
 
-def test_the_layout_dp_answers_once_the_cap_is_reached(monkeypatch):
-    """The lex engine answers a small problem alone; on a larger one it
-    stops at the first node it enters once its nodes reach the cap, and the
-    DP answers. The stats are the lex nodes spent, the same on every run."""
+def test_the_layout_dp_answers_from_its_threshold_order(monkeypatch):
+    """Below ``_DP_MIN_N`` vertices the lex engine answers alone and the DP
+    is never asked; from it on the DP answers before any lex node, so the
+    stats count none."""
     asked = []
     real = solver._layout_value
 
@@ -221,28 +220,30 @@ def test_the_layout_dp_answers_once_the_cap_is_reached(monkeypatch):
         return real(g, posed)
 
     monkeypatch.setattr(solver, "_layout_value", recorded)
-    cap = solver._LEX_NODE_CAP
-    small = solver.solve(petersen_graph(), PARAM_GAMMA_K_A, 0)
-    assert asked == [] and 0 < sum(_nodes(small)) < cap
+    pet = petersen_graph()
+    small = solver.solve(pet, PARAM_GAMMA_K_A, 0)
+    assert asked == [] and _answer(small) == _answer(brute_force_oracle(pet, PARAM_GAMMA_K_A, 0))
+    assert _nodes(small) == _nodes(lex_solve(pet, PARAM_GAMMA_K_A, 0)) and sum(_nodes(small)) > 0
     g = random_cubic(20, 1)
+    assert g.n >= solver._DP_MIN_N
     lex = lex_solve(g, PARAM_GAMMA_K_A, 0)
     assert asked == []
     big = solver.solve(g, PARAM_GAMMA_K_A, 0)
     assert asked == [20]
     assert _answer(big) == _answer(lex)
-    assert cap <= sum(_nodes(big)) < sum(_nodes(lex))
-    assert _nodes(solver.solve(g, PARAM_GAMMA_K_A, 0)) == _nodes(big)
+    assert _nodes(big) == (0, 0) and sum(_nodes(lex)) > 0
 
 
-def _cap_mismatches(g, ks):
+def _threshold_mismatches(g, ks):
     """The cells of ``_dp_cells`` that the DP models where the answer with
-    the cap at 0 (the DP wherever it accepts) differs from the lex engine
-    alone, or where two runs of one cap differ in their stats."""
+    the threshold at 0 (the DP wherever it accepts) differs from the lex
+    engine alone, or where two runs of one threshold differ in their
+    stats."""
     found = []
     for target, k, posed in _dp_cells(g, ks):
         if max(posed[2], default=0) < 2:
             continue
-        dp, lex = ([capped_solve(g, target, k, cap) for _ in range(2)] for cap in (0, math.inf))
+        dp, lex = ([routed_solve(g, target, k, t) for _ in range(2)] for t in (DP_FIRST, LEX_ONLY))
         runs = dp + lex
         if len({_answer(res) for res in runs}) > 1 or any(_nodes(a) != _nodes(b) for a, b in (dp, lex)):
             found.append((target, k, [(_answer(res), _nodes(res)) for res in runs]))
@@ -253,24 +254,25 @@ def _cap_mismatches(g, ks):
 @given(graphs(min_n=1, max_n=8))
 def test_the_answer_does_not_depend_on_the_cap_on_random_graphs(g):
     d = g.max_degree
-    assert _cap_mismatches(g, range(-d - 1, d + 2)) == []
+    assert _threshold_mismatches(g, range(-d - 1, d + 2)) == []
 
 
 @settings(max_examples=30)
 @given(st.builds(random_tree, st.integers(1, 12), st.integers(0, 10**6)))
 def test_the_answer_does_not_depend_on_the_cap_on_trees(g):
     d = g.max_degree
-    assert _cap_mismatches(g, range(-d - 1, d + 2)) == []
+    assert _threshold_mismatches(g, range(-d - 1, d + 2)) == []
 
 
 def test_the_answer_does_not_depend_on_the_cap_on_cubic_graphs():
-    """Default cap, cap 0 and no cap on 40 connected cubic graphs with
-    n = 12..20. Both sides of the default cap are reached: the lex engine
-    answers some cells alone, and the DP answers the others."""
+    """The default threshold, threshold 0 and no DP on 40 connected cubic
+    graphs with n = 12..20. Both sides of the default threshold are reached:
+    the lex engine answers the cells of the smaller graphs, and the DP those
+    of the larger."""
     sides = set()
     cubic = _connected_cubic((12, 14, 16, 18, 20), 40)
     for g in cubic:
-        assert _cap_mismatches(g, range(4)) == [], g.edges
+        assert _threshold_mismatches(g, range(4)) == [], g.edges
         for k in (0, 2):
             lex = lex_solve(g, PARAM_GAMMA_K_A, k)
             res = solver.solve(g, PARAM_GAMMA_K_A, k)
@@ -297,8 +299,9 @@ def _oracle_check_errors(g, capsys, tmp_path):
 def test_a_layout_value_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
     """Fault injection: a DP whose witness has one vertex too many, or that
     reports none where the full vertex set is the answer, is reported by
-    both differential checks, by the cap check and, with the cap at 0 so
-    that ``solve`` asks the DP at once, by ``oracle-check``."""
+    both differential checks, by the threshold check and, with the
+    threshold at 0 so that ``solve`` asks the DP at once, by
+    ``oracle-check``."""
     real = solver._layout_value
 
     def one_too_high(g, posed):
@@ -312,11 +315,11 @@ def test_a_layout_value_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
     wrong = (PARAM_GAMMA_K_A, 0, (STATUS_FOUND, 6, (0, 1, 2, 3, 4, 5)), (STATUS_FOUND, 5, (0, 1, 2, 3, 4)))
     assert wrong in _oracle_mismatches(pet)
     assert wrong in _lex_mismatches(pet)
-    assert [(target, k) for target, k, _ in _cap_mismatches(pet, range(4))] == [
+    assert [(target, k) for target, k, _ in _threshold_mismatches(pet, range(4))] == [
         (PARAM_GAMMA_K_A, 0), (PARAM_GAMMA_K_A, 2)
     ]
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
-    err = _oracle_check_errors(pet, capsys, tmp_path)
+    with dp_threshold(DP_FIRST):
+        err = _oracle_check_errors(pet, capsys, tmp_path)
     assert "mismatch: gamma_k_a k=0: solver found/6/(0, 1, 2, 3, 4, 5) vs oracle found/5/" in err
     # At k = 2, 3 the answer is all ten vertices, so one more is none.
     assert "mismatch: gamma_k_a k=3: solver none_exists/None/None vs oracle found/10/" in err
@@ -328,8 +331,8 @@ def test_a_layout_value_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
 def test_a_witness_that_is_not_lex_least_is_caught(monkeypatch, capsys, tmp_path):
     """Fault injection: a DP that returns a feasible optimum other than the
     lex-least, its answer on the reversed labelling mapped back, is reported
-    by both differential checks, by the cap check and, with the cap at 0,
-    by ``oracle-check``."""
+    by both differential checks, by the threshold check and, with the
+    threshold at 0, by ``oracle-check``."""
     real = solver._layout_value
 
     def mirrored(g, posed):
@@ -344,33 +347,36 @@ def test_a_witness_that_is_not_lex_least_is_caught(monkeypatch, capsys, tmp_path
     wrong = (PARAM_GAMMA_K_A, 0, (STATUS_FOUND, 5, (5, 6, 7, 8, 9)), (STATUS_FOUND, 5, (0, 1, 2, 3, 4)))
     assert wrong in _oracle_mismatches(pet)
     assert wrong in _lex_mismatches(pet)
-    assert [(target, k) for target, k, _ in _cap_mismatches(pet, range(4))] == [(PARAM_GAMMA_K_A, 0)]
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
-    err = _oracle_check_errors(pet, capsys, tmp_path)
+    assert [(target, k) for target, k, _ in _threshold_mismatches(pet, range(4))] == [(PARAM_GAMMA_K_A, 0)]
+    with dp_threshold(DP_FIRST):
+        err = _oracle_check_errors(pet, capsys, tmp_path)
     assert "mismatch: gamma_k_a k=0: solver found/5/(5, 6, 7, 8, 9) vs oracle found/5/(0, 1, 2, 3, 4)" in err
     assert "mismatch: gamma " not in err and "mismatch: gamma_t " not in err
 
 
 def test_a_lex_half_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
-    """Fault injection in the engine choice's lex half, the capped lex
-    engine: its witness gains the lowest vertex outside it. The DP's
-    differential against the lex engine, the cap check and ``oracle-check``
-    at the default cap, where the lex engine answers the Petersen graph's
-    cells alone, each report it. The DP itself still meets the oracle, and
-    gamma and gamma_t, which the uncapped lex engine answers, stay right."""
-    real = solver._Capped.run
+    """Fault injection in the engine choice's lex half: on the problems the
+    DP models, the lex engine's witness gains the lowest vertex outside it.
+    The DP's differential against the lex engine, the threshold check and
+    ``oracle-check`` at the default threshold, where the lex engine answers
+    the Petersen graph's cells alone, each report it. The DP itself still
+    meets the oracle, and gamma and gamma_t, whose problems the DP does not
+    model, stay right."""
+    real = solver._Search.run
 
     def one_too_high(self, size, counters):
         bits = real(self, size, counters)
+        if not (self.needs_dom and not self.needs_conn and max(self.req) >= 2):
+            return bits
         spare = bits and ((1 << self.n) - 1) & ~bits
         return bits | (spare & -spare) if spare else bits
 
-    monkeypatch.setattr(solver._Capped, "run", one_too_high)
+    monkeypatch.setattr(solver._Search, "run", one_too_high)
     pet = petersen_graph()
     wrong = (PARAM_GAMMA_K_A, 0, (STATUS_FOUND, 5, (0, 1, 2, 3, 4)), (STATUS_FOUND, 6, (0, 1, 2, 3, 4, 5)))
     assert _oracle_mismatches(pet) == []
     assert wrong in _lex_mismatches(pet)
-    assert [(target, k) for target, k, _ in _cap_mismatches(pet, range(4))] == [(PARAM_GAMMA_K_A, 0)]
+    assert [(target, k) for target, k, _ in _threshold_mismatches(pet, range(4))] == [(PARAM_GAMMA_K_A, 0)]
     err = _oracle_check_errors(pet, capsys, tmp_path)
     assert "mismatch: gamma_k_a k=0: solver found/6/(0, 1, 2, 3, 4, 5) vs oracle found/5/" in err
     assert "mismatch: gamma " not in err and "mismatch: gamma_t " not in err
@@ -387,8 +393,8 @@ def test_layout_value_matches_the_lex_engine_beyond_the_oracle():
 
 @pytest.mark.slow
 def test_the_answer_does_not_depend_on_the_cap_beyond_the_oracle():
-    """n = 24..32: with the cap at 0 and with no cap, each cell the DP
-    models gets the same answer, and each cap repeats its stats, on 10
+    """n = 24..32: with the threshold at 0 and with no DP, each cell the DP
+    models gets the same answer, and each side repeats its stats, on 10
     seeded connected cubic graphs, k = 0..3."""
     for g in _connected_cubic(tuple(range(24, 34, 2)), 10):
-        assert _cap_mismatches(g, range(4)) == [], g.edges
+        assert _threshold_mismatches(g, range(4)) == [], g.edges

@@ -14,7 +14,7 @@ from kalliance.solver import brute_force_oracle
 
 from .strategies import graphs_with_subset
 
-DEFENSIVE_ROWS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
+DEFENSIVE_ROWS = tuple(name for name, row in PARAMETERS.items() if row.defensive)
 
 
 def _reference(g, parameter, k):
@@ -41,7 +41,7 @@ def test_sweep_matches_the_per_cell_enumeration():
     for g in sample:
         d = g.max_degree
         for name, row in PARAMETERS.items():
-            for k in range(-d - 1, d + 2) if row.takes_k else (None,):
+            for k in range(-d - 1, d + 2) if row.defensive else (None,):
                 result = brute_force_oracle(g, name, k)
                 assert _answer(result) == _reference(g, name, k), (g.edges, name, k)
                 assert result.stats.prunes == 0

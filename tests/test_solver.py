@@ -15,7 +15,6 @@ from kalliance.alliances import (
     is_dominating,
     is_total_dominating,
 )
-from kalliance import solver
 from kalliance.bounds import parity_collapse
 from kalliance.graphs import (
     Graph,
@@ -40,11 +39,11 @@ from kalliance.solver import (
     solve,
 )
 
-from .engines import lex_solve
+from .engines import DP_FIRST, dp_threshold, lex_solve
 from .strategies import graphs, regular_graphs
 
 Q3 = hypercube_graph(3)
-K_PARAMETERS = tuple(name for name, row in PARAMETERS.items() if row.takes_k)
+K_PARAMETERS = tuple(name for name, row in PARAMETERS.items() if row.defensive)
 
 
 def outcome(result):
@@ -169,11 +168,11 @@ def test_solver_matches_oracle_on_petersen():
         assert outcome(solve(pet, target)) == outcome(brute_force_oracle(pet, target))
 
 
-def test_stats_are_populated(monkeypatch):
+def test_stats_are_populated():
     # gamma_t is the lex engine's problem alone. gamma_k_a at k = 0 is one
-    # the layout DP models, and Q3's is small enough for the lex engine to
-    # answer under the node cap. With the cap at 0 the DP answers it, and
-    # the stats count no subset and no prune.
+    # the layout DP models, and Q3's order is below the DP's threshold, so
+    # the lex engine answers it. With the threshold at 0 the DP answers it,
+    # and the stats count no subset and no prune.
     result = solve(Q3, PARAM_GAMMA_T)
     assert result.stats.subsets > 0
     assert isinstance(result.stats.seconds, float) and result.stats.seconds > 0
@@ -182,8 +181,8 @@ def test_stats_are_populated(monkeypatch):
     assert stats["seconds"] == result.stats.seconds
     lex = solve(Q3, PARAM_GAMMA_K_A, 0).stats
     assert (lex.subsets, lex.prunes) == (6, 16) and lex.seconds > 0
-    monkeypatch.setattr(solver, "_LEX_NODE_CAP", 0)
-    dp = solve(Q3, PARAM_GAMMA_K_A, 0).stats
+    with dp_threshold(DP_FIRST):
+        dp = solve(Q3, PARAM_GAMMA_K_A, 0).stats
     assert dp.subsets == dp.prunes == 0 and dp.seconds > 0
 
 
@@ -364,8 +363,7 @@ def test_solver_matches_oracle_on_random_cubic(cubic_oracle_cells):
 def test_joint_counting_cuts_the_search():
     # Nodes, not seconds: the count does not depend on the machine. Deficit
     # and domination bounded apart take 13,409 nodes here. The lex engine
-    # runs from size 1 with no node cap: past it ``solve`` would hand this
-    # problem to the layout DP.
+    # runs alone: at this order ``solve`` hands the problem to the layout DP.
     g = random_cubic(20, 1)
     stats = lex_solve(g, PARAM_GAMMA_K_A, 0).stats
     assert stats.subsets + stats.prunes <= 6700
