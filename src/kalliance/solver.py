@@ -210,6 +210,21 @@ class _Search:
       lowest one through those vertices. One walk (``_components``) checks
       this and counts ``C``; the plain count above, which is ``C = 1``,
       runs first because it needs no walk;
+    - connected, edge count: a connected dominating ``S`` of ``s`` vertices
+      has ``s - 1 + r(S)`` inside edges, ``r`` the cycle rank ``|E| - |V| +
+      C``, and each of the ``n - s`` vertices outside has one or more
+      neighbours in ``S``, so ``n - s = sum of deg v over S - 2(s - 1) -
+      2 r(S) - X`` with ``X`` the sum over those vertices of ``|N(u) & S| -
+      1``. At a node ``s = |mask| + need``; the degree sum is at most the
+      members' plus ``need`` times the largest suffix degree; ``r`` never
+      falls as vertices join, so ``r(S) >= r(G[mask])``; and a decided-out
+      vertex ``u`` (below ``pos``, not a member) adds at least ``|N(u) &
+      mask| - 1`` to ``X``. The node is cut when ``n - s`` exceeds that
+      bound. The members' degrees less their inside and decided-out edges
+      are ``e``, the edges from the members to the suffix, so the cut reads
+      ``n - pos + u + need - 2 + 2C > e + need * suffix_deg[pos]``, with
+      ``u`` the undominated vertices below ``pos``. Its degree-only case is
+      gamma_c >= (n - 2) / (Delta - 1);
     - defensive, per member: a member ``v`` short of its required
       inside-degree ``req[v]`` gains at most one per added vertex, and only
       from neighbours in the suffix. A deficit ``d`` is met only if ``v``'s
@@ -245,7 +260,9 @@ class _Search:
     not connected problems that are left, at max ``req <= 1``, and then no
     rule after it: gamma, gamma_t and gamma_k_a at low k. On connected
     problems and at ``req >= 2`` it was measured to cut too few nodes to
-    pay for its walk.
+    pay for its walk. The edge count runs on the connected problems at max
+    ``req <= 1`` (gamma_k_ca at low k), last; at ``req >= 2`` it cut
+    almost no more nodes and cost time.
 
     The same call is the leaf test: a complete set is a child with
     ``need = 0``, and it is feasible exactly when no rule fires. With no
@@ -257,13 +274,16 @@ class _Search:
     ``connected_count`` (``0 > 1 - C``) fires iff ``G[mask]`` has more than
     one component. On a feasible set every deficit and the undominated count
     are 0, so no other rule fires; the sum form is skipped at ``need = 0``,
-    where the count form already decides.
+    where the count form already decides. The edge count never fires on a
+    feasible set either, whose own edges meet its bound; it does not decide
+    connectivity, which the post-walk ``connected_count`` does, so that
+    form must run before it.
     """
 
     RULES = (
         "dominating_cover", "dominating_count", "connected_count", "connected_reach",
         "defensive_member", "defensive_total", "joint_count", "joint_sum",
-        "dominating_packing",
+        "dominating_packing", "connected_edges",
     )
 
     def __init__(self, g: Graph, problem: tuple[bool, bool, tuple[int, ...]]):
@@ -275,6 +295,7 @@ class _Search:
         most = max(req, default=0)
         self.needs_def = most >= 2 if self.needs_dom else most >= 1
         self.packs = self.needs_dom and not self.needs_conn and not self.needs_def
+        self.counts_edges = self.needs_dom and self.needs_conn and not self.needs_def
         self.full = (1 << n) - 1
         self.serve = serve = [a | ((r == 0) << w) for w, (a, r) in enumerate(zip(adj, req))]
         deg = g.degrees
@@ -400,6 +421,18 @@ class _Search:
                 return "connected_reach"
             if self.needs_dom and undominated > need * (self.suffix_deg[pos] - 1) - components + 1:
                 return "connected_count"
+            if self.counts_edges:
+                adj = self.adj
+                suffix = self.suffix_all[pos]
+                edges = 0  # edges from the members to the suffix
+                m = mask
+                while m:
+                    b = m & -m
+                    m ^= b
+                    edges += (adj[b.bit_length() - 1] & suffix).bit_count()
+                outside = self.n - pos + (short & ~suffix).bit_count()
+                if outside + need - 2 + 2 * components > edges + need * self.suffix_deg[pos]:
+                    return "connected_edges"
         return None
 
     def _packs_past(self, unserved, pos, need) -> bool:

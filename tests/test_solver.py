@@ -16,6 +16,7 @@ from kalliance.alliances import (
     is_total_dominating,
 )
 from kalliance.bounds import parity_collapse
+from kalliance.corpus import _connected_spec
 from kalliance.graphs import (
     Graph,
     complete_graph,
@@ -426,6 +427,40 @@ def test_connected_count_charges_each_extra_component():
     assert brute_force_oracle(g, PARAM_GAMMA_K_CA, -2).value > 2 + need
 
 
+def test_connected_edges_counts_a_second_neighbour_in_the_prefix():
+    # gamma_c of the Petersen graph is 4 = (n - 2) / (deg - 1): 4 connected
+    # cubic vertices dominate all 10 only as a tree (cycle rank 0) with no
+    # outside vertex next to two members. The prefix {0, 2} with 1 decided
+    # out breaks that, since 1 is next to both: 12 member degrees, less
+    # 2 * 3 for the tree edges and 1 for vertex 1, leave 5 edges for the 6
+    # outside vertices. The counts pass it: 3 vertices are undominated, and
+    # two slots newly dominate up to 2 * 2, less 1 for joining 0 to 2.
+    g = petersen_graph()
+    search = _Search(g, problem(g, PARAM_GAMMA_K_CA, -3))
+    mask, cover = _prefix_state(search, (0, 2))
+    pos, need = 3, 2
+    assert brute_force_oracle(g, PARAM_GAMMA_K_CA, -3).value == 2 + need
+    assert (search.full ^ (cover | mask)).bit_count() == need * (g.max_degree - 1) - 1
+    assert search._prune(mask, cover, pos, need) == "connected_edges"
+    search.counts_edges = False
+    assert search._prune(mask, cover, pos, need) is None
+
+
+def test_connected_edges_cuts_the_search():
+    # Nodes, not seconds. Without the edge count this takes 193,178 nodes.
+    g = _connected_spec("random_cubic", 1, n=32).build()
+    stats = solve(g, PARAM_GAMMA_K_CA, -1, max_n=g.n).stats
+    assert stats.subsets + stats.prunes <= 60000
+
+
+@pytest.mark.slow
+def test_connected_edges_cuts_the_search_at_forty_vertices():
+    # Nodes, not seconds. Without the edge count this takes 3,924,719 nodes.
+    g = random_cubic(40, 2)
+    stats = solve(g, PARAM_GAMMA_K_CA, -1, max_n=g.n).stats
+    assert stats.subsets + stats.prunes <= 450000
+
+
 @pytest.mark.parametrize("members, pos", [((0, 1), 2), ((2, 3), 4)])
 def test_dominating_packing_counts_disjoint_suppliers(members, pos):
     # gamma_t on C_10, where each vertex serves two. Either prefix serves
@@ -520,17 +555,34 @@ def test_solver_matches_oracle_on_every_graph_up_to_seven_vertices():
     assert _check_atlas(7, cells) == (1252, 38540)
 
 
-def _scan_without_packing(g, posed):
-    """The lex engine from size 1 with ``dominating_packing`` turned off:
-    the least hit as a bitmask, or None, and the nodes it took."""
+def _scan_without(g, posed, switch):
+    """The lex engine from size 1 with the ``_Search`` attribute ``switch``
+    set False, which turns one rule off: the least hit as a bitmask, or
+    None, and the nodes it took."""
     search = _Search(g, posed)
-    search.packs = False
+    setattr(search, switch, False)
     counters = [0, 0]
     for size in range(1, g.n + 1):
         hit = search.run(size, counters)
         if hit is not None:
             break
     return hit, sum(counters)
+
+
+def _check_beyond_the_oracle(cells, switch):
+    """``solve`` against the lex engine from size 1 with ``switch`` off,
+    value and witness, on each ``(g, target, k)`` of ``cells``; asserts
+    that the rule fired, as the same answers took fewer nodes."""
+    switched = plain = 0
+    for g, target, k in cells:
+        result = solve(g, target, k, max_n=g.n)
+        hit, nodes = _scan_without(g, problem(g, target, k), switch)
+        assert outcome(result) == (STATUS_FOUND, hit.bit_count(), VertexSet(g, hit).members), (
+            g.edges, target, k,
+        )
+        switched += result.stats.subsets + result.stats.prunes
+        plain += nodes
+    assert switched < plain
 
 
 @pytest.mark.slow
@@ -543,16 +595,35 @@ def test_packing_keeps_every_answer_beyond_the_oracle():
         if is_connected(g)
     ][:16]
     assert len(cubic) == 16
-    packed = plain = 0
-    for g in cubic:
-        for target, k in ((PARAM_GAMMA, None), (PARAM_GAMMA_T, None), (PARAM_GAMMA_K_A, -1)):
-            result = solve(g, target, k, max_n=g.n)
-            hit, nodes = _scan_without_packing(g, problem(g, target, k))
-            assert outcome(result) == (STATUS_FOUND, hit.bit_count(), VertexSet(g, hit).members)
-            packed += result.stats.subsets + result.stats.prunes
-            plain += nodes
-    # The rule fired: the same answers took fewer nodes.
-    assert packed < plain
+    _check_beyond_the_oracle(
+        [(g, target, k) for g in cubic
+         for target, k in ((PARAM_GAMMA, None), (PARAM_GAMMA_T, None), (PARAM_GAMMA_K_A, -1))],
+        "packs",
+    )
+
+
+@pytest.mark.slow
+def test_edge_count_keeps_every_answer_beyond_the_oracle():
+    """Past the oracle's cap: ``solve`` against the lex engine from size 1
+    without ``connected_edges``, value and witness, on gamma_k_ca at the
+    three lowest k of the degree range, where max req <= 1. Seeded
+    connected cubic graphs with n = 24..36, and connected G(n, 0.3) with
+    n = 16..20, whose degrees vary."""
+    cubic = [
+        g for g in (random_cubic(24 + 2 * (seed % 7), seed) for seed in range(20))
+        if is_connected(g)
+    ][:12]
+    sparse = [
+        g for g in (random_graph(16 + seed % 5, 0.3, seed) for seed in range(12))
+        if is_connected(g)
+    ][:4]
+    assert (len(cubic), len(sparse)) == (12, 4)
+    cells = []
+    for g in cubic + sparse:
+        low = -g.max_degree
+        assert max(problem(g, PARAM_GAMMA_K_CA, low + 2)[2]) <= 1
+        cells += [(g, PARAM_GAMMA_K_CA, k) for k in (low, low + 1, low + 2)]
+    _check_beyond_the_oracle(cells, "counts_edges")
 
 
 def test_relabelling_keeps_values_beyond_the_oracle():
@@ -608,8 +679,9 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
                 assert witness == brute_force_oracle(g, target, k).witness_members()
     # Both counters as they would be without the stop: a skipped child counts
     # as a prune, exactly as the cut it stands for. (The gamma_k_a cells with
-    # max req <= 1 are cut by dominating_packing too.)
-    assert counters == [13560, 53946]
+    # max req <= 1 are cut by dominating_packing too, and the gamma_k_ca
+    # ones by connected_edges.)
+    assert counters == [13499, 53926]
     # The count is fixed, so the sample cannot shrink unnoticed.
     assert len(checked) == 11125
     assert "defensive_member" in checked
