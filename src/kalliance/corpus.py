@@ -55,10 +55,16 @@ from .solver import (
 )
 
 FOREST_IDENTITY_SAMPLES = 1000
-SHRINK_SAMPLES = 200
 REUSE_SAMPLES = 1  # reused cells per graph solved afresh
 STATUS_RESOURCE = "resource_error"
 _SAMPLE_SEED = 94121
+# The counters of ``CorpusResult.checks_run``, in report order: the sets built
+# on their cells, the cells reused by path, the reused cells solved afresh, and
+# the corpus-wide forest-identity samples. Every spec reports each of them.
+CHECKS = (
+    "upper_witness", "cubic_augment", "shrink",
+    "reuse_none", "reuse_shortcut", "reuse_floor", "reuse_resolved", "forest_identity",
+)
 
 
 @dataclass(frozen=True)
@@ -196,9 +202,10 @@ class CorpusResult:
 # ---------------------------------------------------------------------------
 
 def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> VertexSet:
-    """Smallest W inside s that dominates the whole graph (s itself does);
-    the first in ``combinations`` order. No dominating set has fewer than
-    gamma vertices, so the scan starts at gamma's size."""
+    """Smallest W inside s that dominates the whole graph (s, a certified
+    global alliance, does); the first in ``combinations`` order. No
+    dominating set has fewer than gamma vertices, so the scan starts at the
+    size of gamma's certified witness."""
     if len(s) == g.n:
         return gamma_witness
     pool = s.members
@@ -217,11 +224,9 @@ def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> 
 @dataclass
 class _GraphOutcome:
     graph: Graph
-    graph_id: str
     cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]]  # (result, source)
     records: list[CertificationRecord]
-    shrink_pool: list[tuple[int, VertexSet, VertexSet]]  # (k, witness, min dominating W)
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: dict[str, int]  # keyed by ``CHECKS``
 
 
 def _cell_name(target: str, k: int | None) -> str:
@@ -281,10 +286,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     solved: dict[tuple, tuple[SolveResult, str | None]] = {}
     cells: dict[tuple[str, int | None], tuple[SolveResult, str | None]] = {}
     reused: list[tuple[str, int | None]] = []
-    counts = {
-        "reuse_none": 0, "reuse_shortcut": 0, "reuse_floor": 0, "reuse_resolved": 0,
-        "upper_witness": 0, "cubic_augment": 0,
-    }
+    counts = dict.fromkeys(CHECKS, 0)
     try:
         for t, k in order:
             key = problem(g, t, k)
@@ -311,6 +313,14 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             for t, k in order
         }
     gamma = cells[PARAM_GAMMA, None][0]
+    # Each witness is re-certified once, with ``alliances.meets`` and its
+    # row's demands, which share no code with the search. A shortcut's witness
+    # was accepted by the very call that chose it; sparing those 1,172 calls
+    # (a few ms) would need a second path.
+    certified = {
+        (t, k): res.found and meets(g, res.witness.bits, k or 0, PARAMETERS[t].demands)
+        for (t, k), (res, _) in cells.items()
+    }
     connected = is_connected(g)
     diam = diameter(g) if connected else None
 
@@ -335,7 +345,6 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
     # Every cell is checked where its entry is built, in pass order, one
     # record per k and one for the domination rows (k = None).
     records: list[CertificationRecord] = []
-    shrink_pool: list[tuple[int, VertexSet, VertexSet]] = []
     for k, group in groupby(order, key=lambda cell: cell[1]):
         # The parity lemma as ``bounds`` codes it: the collapsed k must pose
         # the same problem. Equal values would follow from the memo alone, so
@@ -354,10 +363,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             )
             where = f"{gid} {target}" if k is None else f"{gid} k={k} {target}"
             flag = entry.violations.append
-            # A shortcut's witness is re-certified by the very call that chose
-            # it; sparing those 1,172 calls (a few ms) would need a second path.
-            demands = PARAMETERS[target].demands
-            if res.found and not meets(g, res.witness.bits, k or 0, demands):
+            if res.found and not certified[target, k]:
                 flag(f"{where}: witness failed re-certification")
             # Each applicable upper bound is built (``builders``), so it also
             # proves an alliance exists. On a regular graph it meets
@@ -391,21 +397,31 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                     flag(f"{gid} k={k}: diameter {diam} exceeds |S| + 1 = {res.value + 1}")
             if parity_differs and not entries:
                 flag(f"{gid}: parity-equivalent k={k} and k={collapsed} pose different problems")
-            if target == PARAM_GAMMA_K_A and res.found:
-                # The shrink trade: dropping r vertices may lower the level
-                # by 2r but can save at most r vertices. Below -max degree
-                # the level no longer matters: every dominating set
-                # qualifies, as at -max degree itself.
-                if gamma.found:
-                    w = _min_dominating_subset(g, res.witness, gamma.witness)
-                    shrink_pool.append((k, res.witness, w))
-                    for r in range(1, res.value - len(w) + 1):
-                        lowered = cells[PARAM_GAMMA_K_A, max(k - 2 * r, ks[0])][0].value
-                        if lowered is None or lowered + r > res.value:
-                            flag(
-                                f"{gid} k={k} r={r}: shrink inequality fails "
-                                f"(gamma_k_a(k-2r)={lowered})"
-                            )
+            if target == PARAM_GAMMA_K_A and certified[target, k] and certified[PARAM_GAMMA, None]:
+                # The shrink trade: dropping r vertices of S outside its
+                # least dominating core W lowers the level by at most 2r, so
+                # gamma_k_a(k - 2r) <= |S| - r. Each r is built
+                # (``shrink_to_lower_k`` re-certifies its set at k - 2r) and
+                # the solved value is held to the size the trade promises.
+                # r = 0 returns S itself, already certified. Below -max
+                # degree the level no longer matters: every dominating set
+                # qualifies, as at -max degree itself. Both witnesses must
+                # have passed re-certification, as the build requires.
+                s = res.witness
+                w = _min_dominating_subset(g, s, gamma.witness)
+                for r in range(1, len(s) - len(w) + 1):
+                    at = f"{gid} k={k} r={r}"
+                    counts["shrink"] += 1
+                    try:
+                        size = len(shrink_to_lower_k(g, s, k, w, r))
+                    except ConstructionInvariantError as exc:
+                        flag(f"{at}: shrink construction failed: {exc}")
+                    else:
+                        if size != len(s) - r:
+                            flag(f"{at}: shrink construction built {size}, not {len(s) - r}")
+                    lowered = cells[PARAM_GAMMA_K_A, max(k - 2 * r, ks[0])][0].value
+                    if lowered is None or lowered > len(s) - r:
+                        flag(f"{at}: shrink inequality fails (gamma_k_a(k-2r)={lowered})")
             if (target, k) in drawn:
                 fresh = solve(g, target, k)
                 have = res.status, res.value, res.witness_members()
@@ -418,7 +434,7 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
             entries.append(entry)
         records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))
 
-    return _GraphOutcome(g, gid, cells, records, shrink_pool, counts)
+    return _GraphOutcome(g, cells, records, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -447,57 +463,21 @@ def _forest_identity_check(outcomes: list[_GraphOutcome], samples: int, rng) -> 
     return problems
 
 
-def _shrink_sample_check(outcomes: list[_GraphOutcome], samples: int, rng) -> list[str]:
-    """Draw ``samples`` (pool entry, r) pairs. ``shrink_to_lower_k`` is pure,
-    so each distinct draw is built and certified once and its verdict is
-    reported for every draw of it."""
-    pool = [
-        (o.graph, o.graph_id, k, s, w)
-        for o in outcomes
-        for (k, s, w) in o.shrink_pool
-    ]
-    if not pool:
-        return []
-    verdicts: dict[tuple[int, int], str | None] = {}
-    problems = []
-    for i in range(samples):
-        index = rng.randrange(len(pool))
-        g, gid, k, s, w = pool[index]
-        r = rng.randint(0, len(s) - len(w))
-        key = index, r
-        if key not in verdicts:
-            try:
-                size = len(shrink_to_lower_k(g, s, k, w, r))
-            except ConstructionInvariantError as exc:
-                verdicts[key] = str(exc)
-            else:
-                expected = len(s) - r
-                verdicts[key] = None if size == expected else f"size {size}, expected {expected}"
-        verdict = verdicts[key]
-        if verdict is not None:
-            problems.append(f"shrink sample {i} on {gid} k={k} r={r}: {verdict}")
-    return problems
-
-
 def run_corpus(spec: CorpusSpec) -> CorpusResult:
     """Certify every corpus row; deterministic given the spec's seeds."""
     outcomes = [_certify_graph(gs) for gs in spec.graphs]
 
     records: list[CertificationRecord] = []
-    extras: list[str] = []
-    checks: dict[str, int] = {"upper_witness": 0, "cubic_augment": 0}
+    checks = dict.fromkeys(CHECKS, 0)
     for outcome in outcomes:
         records.extend(outcome.records)
         for name, count in outcome.counts.items():
-            checks[name] = checks.get(name, 0) + count
+            checks[name] += count
 
-    rng = random.Random(_SAMPLE_SEED)
     has_trees = any(is_tree(o.graph) for o in outcomes)
     checks["forest_identity"] = FOREST_IDENTITY_SAMPLES if has_trees else 0
-    extras.extend(_forest_identity_check(outcomes, FOREST_IDENTITY_SAMPLES, rng))
-    has_pool = any(o.shrink_pool for o in outcomes)
-    checks["shrink_samples"] = SHRINK_SAMPLES if has_pool else 0
-    extras.extend(_shrink_sample_check(outcomes, SHRINK_SAMPLES, rng))
+    rng = random.Random(_SAMPLE_SEED)
+    extras = _forest_identity_check(outcomes, FOREST_IDENTITY_SAMPLES, rng)
     return CorpusResult(records, extras, checks)
 
 

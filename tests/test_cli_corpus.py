@@ -1,7 +1,7 @@
 import hashlib
 import io
+import itertools
 import json
-import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from kalliance.alliances import (
     PARAMETERS,
     ConstructionInvariantError,
     VertexSet,
+    meets,
 )
 from kalliance.cli import main
 from kalliance.corpus import (
@@ -238,7 +239,7 @@ def test_small_corpus_has_no_violations():
     assert result.checks_run["upper_witness"] > 0
     assert result.checks_run["cubic_augment"] == 2  # K_4 and the random cubic graph
     assert result.checks_run["forest_identity"] == 1000
-    assert result.checks_run["shrink_samples"] == 200
+    assert result.checks_run["shrink"] == 43  # each r of each found gamma_k_a cell
 
 
 @dataclass(frozen=True)
@@ -653,7 +654,7 @@ def test_default_corpus_json_report_is_pinned(default_corpus):
     _, result = default_corpus
     text = json.dumps(result.to_json_dict(), indent=2) + "\n"
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "00733d27eba72c6c9b78c79d73aef154024f9ef6b8b2006b5a9d913571b3ce1e"
+    assert digest == "1757c0ac46f165de579682ce960ba27e42bd90c16d0bdc1bb315275cc030cf41"
 
 
 def test_corpus_spec_json_round_trip():
@@ -667,6 +668,13 @@ def test_empty_corpus_spec():
     assert result.records == []
     assert result.total_violations() == 0
     assert result.to_csv().count("\n") == 1  # header only
+
+
+def test_every_spec_reports_the_same_counters():
+    petersen = run_corpus(CorpusSpec(graphs=(GraphSpec.of("petersen"),))).checks_run
+    empty = run_corpus(CorpusSpec(graphs=())).checks_run
+    assert list(petersen) == list(empty) == list(corpus.CHECKS)
+    assert set(empty.values()) == {0}
 
 
 def test_oversize_corpus_graph_is_recorded_not_fatal(monkeypatch):
@@ -702,52 +710,119 @@ def test_certify_cli_exits_1_when_cells_are_unsolved(capsys, tmp_path):
     assert out.count(",resource_error,") == 179
 
 
-def _shrink_draws(pool, samples, seed):
-    """The (pool index, r) pairs ``_shrink_sample_check`` draws."""
-    rng = random.Random(seed)
-    draws = []
-    for _ in range(samples):
-        index = rng.randrange(len(pool))
-        _, s, w = pool[index]
-        draws.append((index, rng.randint(0, len(s) - len(w))))
-    return draws
+def _petersen_shrink_builds():
+    """Every shrink the Petersen graph's gamma_k_a cells admit, as (k, r):
+    r runs from 1 to |S| - |W|, with S the cell's witness and |W| the least
+    size of a dominating subset of S, found here by brute force."""
+    g = generate("petersen")
+    dominating = PARAMETERS[PARAM_GAMMA].demands
+    builds = []
+    for k in k_range(g):
+        members = solve(g, PARAM_GAMMA_K_A, k).witness_members()
+        core = next(
+            size for size in range(1, len(members) + 1)
+            for combo in itertools.combinations(members, size)
+            if meets(g, sum(1 << v for v in combo), 0, dominating)
+        )
+        builds += [(k, r) for r in range(1, len(members) - core + 1)]
+    return builds
 
 
-def test_shrink_samples_build_each_distinct_draw_once(monkeypatch):
-    spec = CorpusSpec(graphs=(GraphSpec.of("petersen"),))
-    outcome = _certify_graph(spec.graphs[0])
-    pool = outcome.shrink_pool
-    # The Petersen graph is not a tree, so the forest samples draw nothing
-    # and the shrink samples start from the corpus seed.
-    draws = _shrink_draws(pool, corpus.SHRINK_SAMPLES, corpus._SAMPLE_SEED)
+def _petersen_with_a_shrink(monkeypatch, shrink):
+    """Run the Petersen graph with ``shrink(real, g, s, k, w, r)`` standing in
+    for ``shrink_to_lower_k``; return the result and its gamma_k_a entries
+    by k."""
     real = corpus.shrink_to_lower_k
+    monkeypatch.setattr(
+        corpus, "shrink_to_lower_k", lambda g, s, k, w, r: shrink(real, g, s, k, w, r)
+    )
+    result = run_corpus(CorpusSpec(graphs=(GraphSpec.of("petersen"),)))
+    entries = {
+        r.k: e for r in result.records for e in r.entries if e.target == PARAM_GAMMA_K_A
+    }
+    return result, entries
+
+
+def test_shrink_builds_each_r_of_each_cell_once(monkeypatch):
     calls = []
-    failing_k, short_k = pool[0][0], pool[1][0]
 
-    def shrink(g, s, k, w, r):
+    def recording(real, g, s, k, w, r):
         calls.append((k, r))
-        if k == failing_k:
-            raise ConstructionInvariantError("forced failure")
-        result = real(g, s, k, w, r)
-        return s if k == short_k and r else result
+        return real(g, s, k, w, r)
 
-    monkeypatch.setattr(corpus, "shrink_to_lower_k", shrink)
-    result = run_corpus(spec)
-    assert result.checks_run["shrink_samples"] == 200
-    assert len(calls) == len(set(calls)) == len(set(draws)) < len(draws)
-    # Every draw of a failing entry is reported, in the sampling order.
-    expected = []
-    for i, (index, r) in enumerate(draws):
-        k, s, _ = pool[index]
-        if k == failing_k:
-            expected.append(f"shrink sample {i} on {outcome.graph_id} k={k} r={r}: forced failure")
-        elif k == short_k and r:
-            expected.append(
-                f"shrink sample {i} on {outcome.graph_id} k={k} r={r}: "
-                f"size {len(s)}, expected {len(s) - r}"
-            )
-    assert expected
-    assert result.extra_violations == expected
+    result, _ = _petersen_with_a_shrink(monkeypatch, recording)
+    # k = -2, -1 drop one of 4 to the core of 3; k = 2, 3 drop 7 of V.
+    assert calls == _petersen_shrink_builds() and len(calls) == 16
+    assert result.checks_run["shrink"] == len(calls)
+    assert result.total_violations() == 0
+
+
+def test_a_failing_shrink_build_is_flagged_on_its_cell(monkeypatch):
+    def fails_at_k2_r3(real, g, s, k, w, r):
+        if (k, r) == (2, 3):
+            raise ConstructionInvariantError("forced failure")
+        return real(g, s, k, w, r)
+
+    result, entries = _petersen_with_a_shrink(monkeypatch, fails_at_k2_r3)
+    gid = result.records[0].graph
+    assert entries[2].violations == [f"{gid} k=2 r=3: shrink construction failed: forced failure"]
+    assert result.total_violations() == 1
+
+
+def test_a_shrink_build_of_the_wrong_size_is_flagged_on_its_cell(monkeypatch):
+    def unshrunk_at_k_minus_1(real, g, s, k, w, r):
+        built = real(g, s, k, w, r)
+        return s if k == -1 else built
+
+    result, entries = _petersen_with_a_shrink(monkeypatch, unshrunk_at_k_minus_1)
+    gid = result.records[0].graph
+    assert entries[-1].violations == [f"{gid} k=-1 r=1: shrink construction built 4, not 3"]
+    assert result.total_violations() == 1
+
+
+def test_a_value_too_high_at_k_minus_2r_trips_the_shrink_inequality(monkeypatch):
+    # gamma_k_a(-3) = 3 is tight for the largest r of each shrinking cell:
+    # |S| - r = 3 at r = 1 for the 4-vertex witnesses at k = -2, -1 and at
+    # r = 7 for V at k = 2, 3, and k - 2r is clipped at -max degree = -3.
+    violations = _petersen_violations_with_a_wrong_value(monkeypatch, PARAM_GAMMA_K_A, -3, 4)
+    shrink = [v.split(" ", 1)[1] for v in violations if "shrink" in v]
+    assert shrink == [
+        f"k={k} r={r}: shrink inequality fails (gamma_k_a(k-2r)=4)"
+        for k, r in ((-2, 1), (-1, 1), (2, 7), (3, 7))
+    ], violations
+
+
+@pytest.mark.parametrize(
+    "family, params, k, members",
+    [
+        ("petersen", {}, 0, [1]),  # does not dominate
+        ("star", {"n": 5}, 4, range(5)),  # dominates, but a leaf's margin is 1 - 0 - 4
+        ("path", {"n": 6}, -2, [0]),  # gamma's problem: gamma's witness, W for S = V at k = 1
+    ],
+)
+def test_a_witness_failing_re_certification_is_reported_not_raised(
+    monkeypatch, family, params, k, members
+):
+    real_reuse = corpus._reuse_relaxations
+
+    def injected(g, target, cell_k, posed, relaxations):
+        if (target, cell_k) != (PARAM_GAMMA_K_A, k):
+            return real_reuse(g, target, cell_k, posed, relaxations)
+        witness = VertexSet.from_vertices(g, list(members))
+        found = solver.SolveResult(
+            target, k, "found", len(witness), witness, solver.SearchStats(0, 0, 0.0)
+        )
+        return found, None, "fresh"
+
+    # A found cell is shrunk only once its witness, and gamma's, re-certify.
+    monkeypatch.setattr(corpus, "_reuse_relaxations", injected)
+    result = run_corpus(CorpusSpec(graphs=(GraphSpec.of(family, **params),)))
+    entry = next(
+        e for r in result.records if r.k == k for e in r.entries if e.target == PARAM_GAMMA_K_A
+    )
+    assert (entry.status, entry.value) == ("found", len(members))
+    assert any("witness failed re-certification" in v for v in entry.violations)
+    assert not any("shrink" in v for v in result.all_violations()), result.all_violations()
 
 
 def test_certify_cli_small_spec(capsys, tmp_path):

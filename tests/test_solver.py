@@ -382,10 +382,10 @@ def test_served_counting_cuts_mixed_requirements():
 
 
 def test_connected_counting_cuts_the_search():
-    # Nodes, not seconds. Without the charge for each extra component of the
-    # chosen set, these take 48,788 and 31,512 nodes.
+    # Nodes, not seconds: 10,520 and 10,496. Without the charge for each
+    # extra component of the chosen set, these take 14,572 and 14,472.
     g = random_cubic(20, 24)
-    for k, most in ((-3, 30000), (-1, 24000)):
+    for k, most in ((-3, 12000), (-1, 12000)):
         stats = solve(g, PARAM_GAMMA_K_CA, k).stats
         assert stats.subsets + stats.prunes <= most, k
 
