@@ -334,11 +334,15 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
 
     # Every catalogue upper bound is constructive, so each applicable upper
     # report is checked by building its set: bound name -> (its checks_run
-    # count, its construction at k). A bound missing here is a KeyError.
+    # count, whether its input passed re-certification, its construction at
+    # k). A bound missing here is a KeyError. The cubic build extends gamma's
+    # witness, so, as in the shrink loop, it waits on that witness; gamma's
+    # own row flags a witness that failed.
     builders = {
-        "upper_min_degree": ("upper_witness", lambda k: construct_upper_witness(g, k)),
+        "upper_min_degree": ("upper_witness", True, lambda k: construct_upper_witness(g, k)),
         "cubic_upper_2gamma": (
-            "cubic_augment", lambda k: cubic_augment_dominating(g, gamma.witness)
+            "cubic_augment", certified[PARAM_GAMMA, None],
+            lambda k: cubic_augment_dominating(g, gamma.witness),
         ),
     }
 
@@ -380,7 +384,9 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                         flag(f"{where}: value {res.value} above {report.name}={report.value}")
                     elif res.status == STATUS_NONE:
                         flag(f"{where}: none exists, but {report.name}={report.value} builds one")
-                    check, build = builders[report.name]
+                    check, ready, build = builders[report.name]
+                    if not ready:
+                        continue
                     counts[check] += 1
                     try:
                         size = len(build(k))

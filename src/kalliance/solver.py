@@ -31,7 +31,6 @@ import itertools
 import os
 import time
 from dataclasses import asdict, dataclass
-from operator import itemgetter
 
 from .alliances import PARAMETERS, Parameter, VertexSet, lookup_parameter, meets
 from .graphs import Graph
@@ -537,14 +536,26 @@ def _layout(g: Graph, req: tuple[int, ...]) -> tuple[list[int], int]:
     frontier least, then the one with the most placed neighbours, then the
     lowest; the order whose largest bound is smallest wins, then the one
     with the smallest summed bound, then the earlier start.
+
+    Only the unplaced vertices with a placed neighbour, and isolated ones,
+    are scored: any other vertex scores ``(1, 0, w)``, above all of them, so
+    the rest are scored only when none is left (a component is finished).
+    Both bounds only grow, so a start is abandoned once its running
+    ``(largest, summed)`` reaches the best finished start's, which it could
+    no longer beat, or once its largest passes ``_LAYOUT_MAX_STATES``, when
+    the DP could not run it. If every start passes the cap, the order is
+    empty and the bound ``_LAYOUT_MAX_STATES + 1``.
     """
     n = g.n
     adj = g.adjacency
     deg = g.degrees
-    best = None
+    everyone = (1 << n) - 1
+    isolated = sum(1 << w for w in range(n) if not deg[w])
+    best, best_order = (_LAYOUT_MAX_STATES + 1, 0), []
     for first in range(0, n, max(1, -(-n // _LAYOUT_STARTS))):
         left = list(deg)  # neighbours not yet placed, per vertex
         placed = frontier = ones = 0  # ones: frontier vertices with one left
+        touched = isolated  # unplaced vertices scored next: a placed neighbour, or none at all
         order = []
         peak = total = 0
         v = first
@@ -553,6 +564,7 @@ def _layout(g: Graph, req: tuple[int, ...]) -> tuple[list[int], int]:
             placed |= b
             order.append(v)
             frontier |= b
+            touched = (touched | adj[v]) & ~placed
             m = adj[v] | b
             while m:
                 u = (m & -m).bit_length() - 1
@@ -573,25 +585,22 @@ def _layout(g: Graph, req: tuple[int, ...]) -> tuple[list[int], int]:
                 bound *= 1 + (p > 0) + max(0, min(r, p) - max(0, r - left[u]) + 1)
             peak = max(peak, bound)
             total += bound
-            if len(order) == n:
+            if (peak, total) >= best:
                 break
-            v = min(
-                (((adj[w] & ~placed) != 0) - (adj[w] & ones).bit_count(),
-                 -(adj[w] & placed).bit_count(), w)
-                for w in range(n) if not placed >> w & 1
-            )[2]
-        if best is None or (peak, total) < best[0]:
-            best = (peak, total), order
-    return best[1], best[0][0]
-
-
-def _codes_at(positions: list[int]):
-    """A function from a frontier state to the tuple of its codes at
-    ``positions``."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda state: (state[i],)
-    return itemgetter(*positions) if positions else lambda state: ()
+            if len(order) == n:
+                best, best_order = (peak, total), order
+                break
+            m = touched or everyone & ~placed
+            score = None
+            while m:
+                w = (m & -m).bit_length() - 1
+                m &= m - 1
+                a = adj[w]
+                s = ((a & ~placed) != 0) - (a & ones).bit_count(), -(a & placed).bit_count(), w
+                if score is None or s < score:
+                    score = s
+            v = score[2]
+    return best_order, best[0]
 
 
 def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | None:
@@ -607,9 +616,16 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
     a vertex leaves the frontier once all its neighbours are placed, never
     while undominated or short of ``req``. Placing ``v`` in keeps ``c`` plus
     the unplaced count of each member neighbour, so only placing it out can
-    strand one. What placing ``v`` does to a state depends only on the codes
-    of ``v``'s placed neighbours, so each step tabulates it once per such
-    code tuple.
+    strand one.
+
+    A state is one int: vertex ``u`` keeps its code in the ``W``-bit slot at
+    bit ``u * W``, ``W`` wide enough for the largest code ``2 + max(req)``,
+    and a vertex off the frontier has an empty slot, so the one state left
+    after the last step is 0. What placing ``v`` does to a state depends only
+    on the codes of ``v``'s placed neighbours, so each step tabulates it once
+    per key, the state masked to their slots: the new codes of those that
+    stay and of ``v``, as one int for out and one for in. A successor is the
+    state masked to the other frontier slots, or-ed with one of them.
 
     Each state keeps the least ``size << n | (full ^ rev)`` of the sets
     reaching it, ``rev`` having bit ``n - 1 - v`` for each member ``v``: the
@@ -626,9 +642,11 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
     n = g.n
     full = (1 << n) - 1
     adj = g.adjacency
+    width = (2 + max(req, default=0)).bit_length()
+    slot = (1 << width) - 1
     left = list(g.degrees)  # neighbours not yet placed, per vertex
     frontier: list[int] = []
-    states = {(): full}
+    states = {0: full}
     for v in order:
         step = (1 << n) - (1 << (n - 1 - v))  # placing v in: one more member, v's bit of rev
         near = [u for u in frontier if adj[v] >> u & 1]
@@ -637,16 +655,17 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
         left[v] -= len(near)
         r = req[v]
         stays = left[v] > 0
-        kept = [j for j, u in enumerate(near) if left[u]]
-        far = [i for i, u in enumerate(frontier) if left[u] and not adj[v] >> u & 1]
-        far_codes = _codes_at(far)
-        near_codes = _codes_at([i for i, u in enumerate(frontier) if adj[v] >> u & 1])
-        moves: dict[tuple[int, ...], tuple] = {}  # near codes -> (tail out, tail in)
-        placed: dict[tuple[int, ...], int] = {}
+        shift = v * width
+        kept_mask = sum(slot << u * width for u in near if left[u])
+        near_mask = sum(slot << u * width for u in near)
+        far_mask = sum(slot << u * width for u in frontier) & ~near_mask
+        moves: dict[int, tuple] = {}  # key -> (tail out, tail in)
+        placed: dict[int, int] = {}
         for state, value in states.items():
-            codes = near_codes(state)
-            move = moves.get(codes)
+            key = state & near_mask
+            move = moves.get(key)
             if move is None:
+                codes = [key >> u * width & slot for u in near]
                 inside = sum(c >= 2 for c in codes)
                 # Out: no member neighbour may fall short for good, and no
                 # undominated vertex may leave.
@@ -656,30 +675,33 @@ def _layout_value(g: Graph, posed: tuple[bool, bool, tuple[int, ...]]) -> int | 
                         fits = False
                 tail_out = None
                 if fits:
-                    tail_out = tuple([codes[j] for j in kept])
+                    tail_out = key & kept_mask
                     if stays:
-                        tail_out += (int(inside > 0),)
+                        tail_out |= int(inside > 0) << shift
                 have = min(inside, r)
                 tail_in = None
                 if have + left[v] >= r:
-                    tail_in = tuple(
-                        [1 if codes[j] < 2 else min(codes[j] + 1, 2 + req[near[j]]) for j in kept]
-                    ) + ((2 + have,) if stays else ())
-                move = moves[codes] = tail_out, tail_in
-            head = far_codes(state)
+                    tail_in = sum(
+                        (1 if c < 2 else min(c + 1, 2 + req[u])) << u * width
+                        for u, c in zip(near, codes) if left[u]
+                    )
+                    if stays:
+                        tail_in |= (2 + have) << shift
+                move = moves[key] = tail_out, tail_in
+            head = state & far_mask
             tail_out, tail_in = move
             if tail_out is not None:
-                key = head + tail_out
-                if placed.get(key, value + 1) > value:
-                    placed[key] = value
+                after = head | tail_out
+                if placed.get(after, value + 1) > value:
+                    placed[after] = value
             if tail_in is not None:
-                key = head + tail_in
+                after = head | tail_in
                 grown = value + step
-                if placed.get(key, grown + 1) > grown:
-                    placed[key] = grown
-        frontier = [frontier[i] for i in far] + [near[j] for j in kept] + ([v] if stays else [])
+                if placed.get(after, grown + 1) > grown:
+                    placed[after] = grown
+        frontier = [u for u in frontier if left[u]] + ([v] if stays else [])
         states = placed
-    rev = full ^ (states[()] & full) if () in states else 0  # bit n - 1 - v is v's
+    rev = full ^ (states[0] & full) if 0 in states else 0  # bit n - 1 - v is v's
     return int(format(rev, f"0{n}b")[::-1], 2)
 
 

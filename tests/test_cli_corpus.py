@@ -798,6 +798,8 @@ def test_a_value_too_high_at_k_minus_2r_trips_the_shrink_inequality(monkeypatch)
         ("petersen", {}, 0, [1]),  # does not dominate
         ("star", {"n": 5}, 4, range(5)),  # dominates, but a leaf's margin is 1 - 0 - 4
         ("path", {"n": 6}, -2, [0]),  # gamma's problem: gamma's witness, W for S = V at k = 1
+        # gamma's problem on a cubic graph: the witness cubic_upper_2gamma extends at k = -1
+        ("petersen", {}, -3, [0]),
     ],
 )
 def test_a_witness_failing_re_certification_is_reported_not_raised(

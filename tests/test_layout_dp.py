@@ -11,6 +11,9 @@ from size 1, and the brute-force oracle. They also check that the answer
 does not depend on the threshold, the cap on order below which the lex
 engine answers (``tests/engines.py`` sets it). The DP is always read as
 ``solver._layout_value`` so that the fault-injection tests can replace it.
+Its vertex order, ``solver._layout``, is held to a full-scan reference
+kept here: the same order and bound, or a decline where the reference's
+bound passes the cap.
 """
 
 import time
@@ -30,6 +33,7 @@ from kalliance.alliances import (
 from kalliance.cli import main
 from kalliance.graphs import (
     Graph,
+    complete_bipartite_graph,
     complete_graph,
     is_connected,
     petersen_graph,
@@ -170,6 +174,128 @@ def test_a_dense_graph_is_left_to_the_lex_engine():
         fresh = routed_solve(g, PARAM_GAMMA_K_A, 0, DP_FIRST)
         assert fresh.witness_members() == lex.witness_members()
         assert _nodes(fresh) == _nodes(lex)
+
+
+def _full_scan_layout(g, req):
+    """The plain form of ``solver._layout``, the reference the layout tests
+    hold it to: every start runs to its end, and each step scores every
+    unplaced vertex."""
+    n = g.n
+    adj = g.adjacency
+    deg = g.degrees
+    best = None
+    for first in range(0, n, max(1, -(-n // solver._LAYOUT_STARTS))):
+        left = list(deg)
+        placed = frontier = ones = 0
+        order = []
+        peak = total = 0
+        v = first
+        while True:
+            b = 1 << v
+            placed |= b
+            order.append(v)
+            frontier |= b
+            m = adj[v] | b
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                if u != v:
+                    left[u] -= 1
+                if not left[u]:
+                    frontier &= ~(1 << u)
+                    ones &= ~(1 << u)
+                elif left[u] == 1 and frontier >> u & 1:
+                    ones |= 1 << u
+            bound = 1
+            m = frontier
+            while m:
+                u = (m & -m).bit_length() - 1
+                m &= m - 1
+                p, r = deg[u] - left[u], req[u]
+                bound *= 1 + (p > 0) + max(0, min(r, p) - max(0, r - left[u]) + 1)
+            peak = max(peak, bound)
+            total += bound
+            if len(order) == n:
+                break
+            v = min(
+                (((adj[w] & ~placed) != 0) - (adj[w] & ones).bit_count(),
+                 -(adj[w] & placed).bit_count(), w)
+                for w in range(n) if not placed >> w & 1
+            )[2]
+        if best is None or (peak, total) < best[0]:
+            best = (peak, total), order
+    return best[1], best[0][0]
+
+
+def _layout_mismatches(g, ks):
+    """The cells of ``_dp_cells`` whose layout differs from the full scan's:
+    another ``(order, bound)`` where the full scan's bound is within
+    ``solver._LAYOUT_MAX_STATES``, or a bound within it where the full
+    scan's passes it (both must decline there)."""
+    cap = solver._LAYOUT_MAX_STATES
+    found = []
+    for target, k, posed in _dp_cells(g, ks):
+        want = _full_scan_layout(g, posed[2])
+        got = solver._layout(g, posed[2])
+        if (got != want) if want[1] <= cap else got[1] <= cap:
+            found.append((target, k, got, want))
+    return found
+
+
+@st.composite
+def _scattered_graphs(draw):
+    """Disjoint unions of two to four drawn graphs and one to three isolated
+    vertices, relabelled at random so that the components interleave."""
+    parts = draw(st.lists(graphs(min_n=1, max_n=6), min_size=2, max_size=4))
+    n = sum(part.n for part in parts) + draw(st.integers(1, 3))
+    label = draw(st.permutations(range(n)))
+    edges, base = [], 0
+    for part in parts:
+        edges += [tuple(sorted((label[base + u], label[base + v]))) for u, v in part.edges]
+        base += part.n
+    return Graph(n, edges)
+
+
+@settings(max_examples=80)
+@given(_scattered_graphs())
+def test_the_layout_matches_the_full_scan_across_components(g):
+    d = g.max_degree
+    assert _layout_mismatches(g, range(-d - 1, d + 2)) == []
+
+
+def test_the_layout_matches_the_full_scan_on_cubic_graphs():
+    """One seeded cubic graph per even n = 20..56 (connected or not), the
+    distinct problems of k = -4..4 with gamma and gamma_t."""
+    for n in range(20, 58, 2):
+        g = random_cubic(n, n)
+        assert _layout_mismatches(g, range(-4, 5)) == [], g.edges
+
+
+def test_a_dense_layout_declines_as_the_full_scan_does():
+    """Where every start passes ``_LAYOUT_MAX_STATES`` the full scan's bound
+    is over it, the layout's is too, and the DP declines."""
+    cap = solver._LAYOUT_MAX_STATES
+    for g in (complete_graph(11), complete_graph(18), random_graph(30, 0.5, 1)):
+        posed = problem(g, PARAM_GAMMA_K_A, 0)
+        assert _full_scan_layout(g, posed[2])[1] > cap
+        assert solver._layout(g, posed[2]) == ([], cap + 1)
+        assert solver._layout_value(g, posed) is None
+
+
+def test_a_code_wider_than_three_bits_matches_the_lex_engine():
+    """Hubs of degree 12 to 14 need codes up to ``2 + req`` of 8 or more on
+    34 of these 40 problems, so each slot of the DP's state takes 4 bits or
+    more. The DP accepts those layouts and gives the lex engine's answer at
+    every k."""
+    wide = 0
+    for g in (star_graph(15), complete_bipartite_graph(2, 12), complete_bipartite_graph(3, 13)):
+        ks = range(-1, g.max_degree + 2)
+        assert _lex_mismatches(g, ks) == [], g.edges
+        for _, _, posed in _dp_cells(g, ks):
+            if (2 + max(posed[2])).bit_length() >= 4:
+                assert solver._layout_value(g, posed) is not None
+                wide += 1
+    assert wide == 34
 
 
 def test_a_declined_layout_dp_counts_in_the_seconds(monkeypatch):
