@@ -18,8 +18,13 @@ needs one. The oracle shares no search code with ``solve``: it walks every
 nonempty subset, as a sum of single-bit masks drawn by
 ``itertools.combinations``, and asks ``alliances.meets``, the one definition
 of each demand, whether the subset meets its row's. One sweep of the subsets
-answers every cell of a graph: it relies only on the defensive demand being
-monotone in k, so each row asks ``meets`` at its lowest pending k alone. The
+answers every cell of a graph: the defensive demand is monotone in k, so each
+row asks ``meets`` at its lowest pending k alone. Before the rows ask, each
+subset is asked at most two shared questions: a_k's demands at the lowest k
+any defensive row still has pending, and gamma's demands. A defensive row's
+demands include the first at a k no lower, and a set meeting a row that
+dominates or totally dominates meets the second; so a failed shared question
+skips those rows, and every answer is still a row's own ``meets`` call. The
 sweep of the last graph asked is memoised, and an oracle result's seconds run
 from the start of the sweep.
 """
@@ -32,7 +37,9 @@ import os
 import time
 from dataclasses import asdict, dataclass
 
-from .alliances import PARAMETERS, Parameter, VertexSet, lookup_parameter, meets
+from .alliances import (
+    PARAM_A_K, PARAM_GAMMA, PARAMETERS, Parameter, VertexSet, lookup_parameter, meets,
+)
 from .graphs import Graph
 
 STATUS_FOUND = "found"
@@ -803,16 +810,34 @@ def _oracle_sweep(
     is asked of the same subset. A cell left once every subset is examined
     has none, with 2^n - 1 subsets examined. Every result's seconds run from
     the start of the sweep.
+
+    Before any row asks, a subset may be asked two shared questions, each
+    at most once and only when a row needs it. Every defensive row's demands
+    include a_k's at that row's pending k, which is no lower than ``low``,
+    the lowest pending k of any defensive row; so a subset that fails a_k's
+    demands at ``low`` fails every defensive row, and is skipped outright
+    when no row without k is pending. At ``low <= -max_degree`` every set
+    meets that demand, and the question is not asked. Total domination
+    implies domination, so a subset that fails gamma's demands fails every
+    row that dominates or dominates totally. A skip only ever passes over a
+    subset that its row's own ``meets`` call would refuse, and every answer
+    is still that call's.
     """
     start = time.perf_counter()
     pending: dict[str, list] = {}
     for parameter, k in wanted:
         pending.setdefault(parameter, []).append(k)
-    # Each row's k in descending order, so the lowest is popped from the end.
-    rows = [
-        (name, PARAMETERS[name].demands, sorted(ks, key=lambda k: k or 0, reverse=True))
-        for name, ks in pending.items()
-    ]
+    # Each row's k in descending order, so the lowest is popped from the end;
+    # with whether it is defensive, and whether it dominates (or totally).
+    rows = []
+    for name, ks in pending.items():
+        row = PARAMETERS[name]
+        ks.sort(key=lambda k: k or 0, reverse=True)
+        rows.append((name, row.demands, ks, row.defensive, row.dominating or row.total))
+    defensive = PARAMETERS[PARAM_A_K].demands
+    dominating = PARAMETERS[PARAM_GAMMA].demands
+    vacuous = -g.max_degree  # every set meets the defensive demand at k <= this
+    low, plain = _shared_levels(rows, vacuous)
     answers = {}
     examined = 0
     singletons = [1 << v for v in range(g.n)]
@@ -820,8 +845,19 @@ def _oracle_sweep(
         for combo in itertools.combinations(singletons, size):
             examined += 1
             mask = sum(combo)
+            defended = low <= vacuous or meets(g, mask, low, defensive)
+            if not (defended or plain):
+                continue
+            dominated = None
             hit = False
-            for name, demands, ks in rows:
+            for name, demands, ks, needs_k, dominates in rows:
+                if needs_k and not defended:
+                    continue
+                if dominates:
+                    if dominated is None:
+                        dominated = meets(g, mask, 0, dominating)
+                    if not dominated:
+                        continue
                 while ks and meets(g, mask, ks[-1] or 0, demands):
                     k = ks.pop()
                     answers[name, k] = _result(g, name, k, mask, examined, 0, start)
@@ -830,10 +866,18 @@ def _oracle_sweep(
                 rows = [row for row in rows if row[2]]
                 if not rows:
                     return answers
-    for name, _, ks in rows:
+                low, plain = _shared_levels(rows, vacuous)
+    for name, _, ks, _, _ in rows:
         for k in ks:
             answers[name, k] = _result(g, name, k, 0, examined, 0, start)
     return answers
+
+
+def _shared_levels(rows, vacuous: int) -> tuple[int, bool]:
+    """The lowest pending k of the sweep's defensive rows, ``vacuous`` when
+    none is pending, and whether a row without k is pending."""
+    lows = [ks[-1] for _, _, ks, needs_k, _ in rows if needs_k]
+    return min(lows, default=vacuous), not all(needs_k for _, _, _, needs_k, _ in rows)
 
 
 @functools.lru_cache(maxsize=1)

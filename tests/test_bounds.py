@@ -25,6 +25,7 @@ from kalliance.bounds import (
     upper_min_degree,
 )
 from kalliance.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     hypercube_graph,
@@ -33,7 +34,7 @@ from kalliance.graphs import (
     random_tree,
     star_graph,
 )
-from kalliance.solver import brute_force_oracle, solve
+from kalliance.solver import brute_force_oracle, k_range, solve
 
 from .strategies import graphs, graphs_with_subset, small_k
 
@@ -247,20 +248,29 @@ def test_bound_report_json_fields():
 # Soundness properties
 # ---------------------------------------------------------------------------
 
+def _check_brackets(g, k, target, gamma=None):
+    """Asserts that each applicable report of ``evaluate_all`` brackets the
+    oracle's value of ``target`` at k; returns how many were checked."""
+    result = brute_force_oracle(g, target, k)
+    if not result.found:
+        return 0
+    checked = 0
+    for report in evaluate_all(g, k, target, gamma):
+        if not report.applicable:
+            continue
+        if report.kind == "lower":
+            assert report.value <= result.value, (g.edges, report)
+        else:
+            assert result.value <= report.value, (g.edges, report)
+        checked += 1
+    return checked
+
+
 @settings(max_examples=30)
 @given(graphs(min_n=1, max_n=6), st.integers(-3, 3))
 def test_bounds_bracket_the_oracle(g, k):
     for target in ("gamma_k_a", "gamma_k_ca"):
-        result = brute_force_oracle(g, target, k)
-        if not result.found:
-            continue
-        for report in evaluate_all(g, k, target):
-            if not report.applicable:
-                continue
-            if report.kind == "lower":
-                assert report.value <= result.value, report
-            else:
-                assert result.value <= report.value, report
+        _check_brackets(g, k, target)
 
 
 @settings(max_examples=30)
@@ -290,3 +300,24 @@ def test_connected_dominating_sets_respect_diameter_chain(gs):
         from kalliance.graphs import diameter
 
         assert diameter(g) <= len(s) + 1
+
+
+def test_catalogue_brackets_the_oracle_on_the_atlas():
+    """Every connected graph on 1..7 vertices in the networkx atlas: each
+    applicable bound of ``evaluate_all`` brackets the oracle's value of
+    gamma_k_a and gamma_k_ca at every k of ``k_range`` (gamma handed to the
+    bounds that take it)."""
+    nx = pytest.importorskip("networkx")
+    atlas = [
+        Graph(h.number_of_nodes(), h.edges())
+        for h in nx.graph_atlas_g()
+        if 1 <= h.number_of_nodes() <= 7 and nx.is_connected(h)
+    ]
+    checked = 0
+    for g in atlas:
+        gamma = brute_force_oracle(g, "gamma").value
+        for k in k_range(g):
+            for target in ("gamma_k_a", "gamma_k_ca"):
+                checked += _check_brackets(g, k, target, gamma)
+    # Both counts are fixed, so the sample cannot shrink unnoticed.
+    assert (len(atlas), checked) == (996, 53188)

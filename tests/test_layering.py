@@ -35,3 +35,29 @@ def test_each_module_imports_only_the_modules_above_it():
     for position, name in enumerate(LAYERS):
         below = package_imports(name) - set(LAYERS[:position])
         assert not below, f"{name} imports {sorted(below)}, which README lists below it"
+
+
+ORACLE = ("_oracle_sweep", "_graph_sweep", "brute_force_oracle")
+SEARCH = {"_Search", "_layout", "_layout_value", "solve_from", "solve", "problem", "requirements"}
+
+
+def test_the_oracle_shares_no_search_code():
+    """The oracle, and every ``solver`` function it calls, reference none of
+    the search's names: it asks ``alliances.meets`` alone (ROADMAP aim 2)."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ORACLE) <= set(functions)
+    seen, todo, names = set(), list(ORACLE), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        todo += [n for n in names if n in functions]
+    assert "meets" in names
+    assert not names & SEARCH, f"the oracle reaches {sorted(names & SEARCH)}"
