@@ -18,11 +18,13 @@ from .alliances import (
     PARAM_GAMMA,
     PARAM_GAMMA_K_A,
     PARAM_GAMMA_K_CA,
+    VertexSet,
     lookup_parameter,
     upper_witness_drops,
 )
 from .graphs import (
     Graph,
+    connected_components_of,
     diameter,
     induced_subgraph,
     is_connected,
@@ -355,13 +357,33 @@ def upper_reports(
 
 
 def evaluate_all(
-    g: Graph, k: int, target: str, gamma: int | None = None
+    g: Graph, k: int, target: str, gamma: int | None = None, members: VertexSet | None = None
 ) -> list[BoundReport]:
     """``lower_reports`` then ``upper_reports`` for (g, k, target). Some
     bounds come back marked not applicable; others are left out when g fails
     their hypotheses (see ``lower_reports``; ``cubic_upper_2gamma`` only at
-    k = -1 on a cubic graph)."""
-    return lower_reports(g, k, target) + upper_reports(g, k, target, gamma)
+    k = -1 on a cubic graph).
+
+    ``members``, a nonempty set S of g, appends S's own bounds after those:
+    ``tree_lower`` with the components of G[S] on a tree, and on an
+    asserted-planar graph ``planar_subgraph_lower`` on G[S], then
+    ``faces_lower`` when G[S] is connected. They follow ``lower_reports``'
+    target rule: none for ``a_k``; ``gamma_k_ca`` inherits them.
+    """
+    reports = lower_reports(g, k, target) + upper_reports(g, k, target, gamma)
+    if members is None or target == PARAM_A_K:
+        return reports
+    if members.graph != g:
+        raise ValueError("vertex set is tagged to a different graph")
+    if not members:
+        raise ValueError("alliances are nonempty")
+    components = connected_components_of(g, members.bits)
+    own = [tree_lower(g.n, components, k)] if is_tree(g) else []
+    if g.asserted_planar:
+        own.append(planar_subgraph_lower(g.n, k, is_triangle_free(induced_subgraph(g, members))))
+        if components == 1:
+            own.append(faces_lower(g.n, induced_face_count(g, members), k))
+    return reports + [replace(r, target=target) for r in own]
 
 
 def best_lower(reports: list[BoundReport]) -> int | None:

@@ -23,15 +23,13 @@ from .graphs import (
     connected_components_of,
     from_edge_list,
     generate,
-    induced_subgraph,
-    is_tree,
-    is_triangle_free,
     to_edge_list,
 )
 from .known_values import run_known_value_checks
 from .solver import ResourceLimitError, brute_force_oracle, cells, k_range, solve
 
 _BY_ALIAS = {row.alias: row for row in PARAMETERS.values()}
+_K_ALIASES = sorted(alias for alias, row in _BY_ALIAS.items() if row.defensive)
 
 
 def _read_text(path: str) -> str:
@@ -90,34 +88,18 @@ def _cmd_bounds(args) -> int:
     if args.assume_planar:
         g = g.with_asserted_planar()
     row = _BY_ALIAS[args.target]
-    if not row.defensive:
-        aliases = ", ".join(a for a, r in sorted(_BY_ALIAS.items()) if r.defensive)
-        print(f"error: bounds are catalogued for {aliases} only", file=sys.stderr)
-        return 2
     _warn_k_range(g, args.k)
-    reports = bounds_mod.evaluate_all(g, args.k, row.name)
-    if args.set is None:
+    subject = None
+    if args.set is not None:
+        subject = VertexSet.from_vertices(g, [int(tok) for tok in args.set.split(",") if tok.strip()])
+    reports = bounds_mod.evaluate_all(g, args.k, row.name, members=subject)
+    if subject is None:
         _emit_json([r.to_json_dict() for r in reports])
         return 0
-
-    members = [int(tok) for tok in args.set.split(",") if tok.strip() != ""]
-    subject = VertexSet.from_vertices(g, members)
-    cert = certify(g, subject, args.k, row.requirement)
-    components = connected_components_of(g, subject.bits)
-    if is_tree(g):
-        reports.append(bounds_mod.tree_lower(g.n, components, args.k))
-    if g.asserted_planar:
-        induced = induced_subgraph(g, members)
-        reports.append(
-            bounds_mod.planar_subgraph_lower(g.n, args.k, is_triangle_free(induced))
-        )
-        if components == 1:
-            f = bounds_mod.induced_face_count(g, members)
-            reports.append(bounds_mod.faces_lower(g.n, f, args.k))
     _emit_json(
         {
-            "certificate": cert.to_json_dict(),
-            "components": components,
+            "certificate": certify(g, subject, args.k, row.requirement).to_json_dict(),
+            "components": connected_components_of(g, subject.bits),
             "reports": [r.to_json_dict() for r in reports],
         }
     )
@@ -154,15 +136,10 @@ def _cmd_oracle_check(args) -> int:
     def compare(target, k):
         fast = solve(g, target, k)
         slow = brute_force_oracle(g, target, k)
-        if (fast.status, fast.value, fast.witness_members()) != (
-            slow.status,
-            slow.value,
-            slow.witness_members(),
-        ):
+        if fast.answer != slow.answer:
             mismatches.append(
-                f"{target} k={k}: solver {fast.status}/{fast.value}/"
-                f"{fast.witness_members()} vs oracle {slow.status}/{slow.value}/"
-                f"{slow.witness_members()}"
+                f"{target} k={k}: solver {'/'.join(map(str, fast.answer))} "
+                f"vs oracle {'/'.join(map(str, slow.answer))}"
             )
 
     for target, k in cells(g):
@@ -211,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd = sub.add_parser("bounds", help="evaluate the bound catalog")
     bnd.add_argument("--graph", required=True)
     bnd.add_argument("--k", type=int, required=True)
-    bnd.add_argument("--target", required=True, choices=sorted(_BY_ALIAS))
+    bnd.add_argument("--target", required=True, choices=_K_ALIASES)
     bnd.add_argument("--assume-planar", action="store_true")
     bnd.add_argument("--set", help="comma-separated vertices to certify")
     bnd.set_defaults(func=_cmd_bounds)

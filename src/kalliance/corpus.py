@@ -430,12 +430,10 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                         flag(f"{at}: shrink inequality fails (gamma_k_a(k-2r)={lowered})")
             if (target, k) in drawn:
                 fresh = solve(g, target, k)
-                have = res.status, res.value, res.witness_members()
-                want = fresh.status, fresh.value, fresh.witness_members()
-                if have != want:
+                if res.answer != fresh.answer:
                     flag(
-                        f"{gid} {_cell_name(target, k)}: reused from {source} as {have}, "
-                        f"a fresh solve gives {want}"
+                        f"{gid} {_cell_name(target, k)}: reused from {source} as {res.answer}, "
+                        f"a fresh solve gives {fresh.answer}"
                     )
             entries.append(entry)
         records.append(CertificationRecord(gid, gs.family, g.n, g.m, k, entries))

@@ -88,6 +88,13 @@ class SolveResult:
     def witness_members(self) -> tuple[int, ...] | None:
         return None if self.witness is None else self.witness.members
 
+    @property
+    def answer(self) -> tuple[str, int | None, tuple[int, ...] | None]:
+        """Status, value and lex-least witness: two results give the same
+        answer when these are equal. ``stats`` measures effort, not the
+        answer."""
+        return self.status, self.value, self.witness_members()
+
     def to_json_dict(self) -> dict:
         out: dict = {"parameter": self.parameter}
         if self.k is not None:
@@ -155,17 +162,22 @@ def problem(g: Graph, parameter: str, k: int | None = None) -> tuple[bool, bool,
 
 
 def _resolve_cap(max_n: int | None) -> int:
+    """``max_n`` when given, else ``ALLIANCE_MAX_N`` when set, else the
+    default. Either must be a positive int (not a bool), or the error names
+    it."""
     if max_n is not None:
-        return max_n
-    env = os.environ.get(MAX_N_ENV_VAR)
-    if env is None:
-        return DEFAULT_MAX_N
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{MAX_N_ENV_VAR} must be a positive integer, not {env!r}")
+        name, given, cap = "max_n", max_n, max_n
+    else:
+        given = os.environ.get(MAX_N_ENV_VAR)
+        if given is None:
+            return DEFAULT_MAX_N
+        name = MAX_N_ENV_VAR
+        try:
+            cap = int(given)
+        except ValueError:
+            cap = 0
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"{name} must be a positive integer, not {given!r}")
     return cap
 
 

@@ -29,6 +29,7 @@ from kalliance.graphs import (
     complete_graph,
     cycle_graph,
     hypercube_graph,
+    path_graph,
     petersen_graph,
     random_cubic,
     random_tree,
@@ -236,6 +237,30 @@ def test_evaluate_all_plain_defensive_target_is_empty():
     assert evaluate_all(hypercube_graph(3), 0, "a_k") == []
     with pytest.raises(ValueError):
         evaluate_all(hypercube_graph(3), 0, "gamma")
+
+
+def test_evaluate_all_appends_the_set_bounds_under_the_target_rule():
+    path = path_graph(9)
+    apart = VertexSet.from_vertices(path, [0, 2])
+    plain = evaluate_all(path, -1, "gamma_k_a")
+    with_set = evaluate_all(path, -1, "gamma_k_a", members=apart)
+    assert with_set[: len(plain)] == plain
+    # A path is asserted planar; G[S] has two components, so no face bound.
+    own = [(r.name, r.value) for r in with_set[len(plain):]]
+    assert own == [("tree_lower", 4), ("planar_subgraph_lower", 3)]
+    assert evaluate_all(path, -1, "a_k", members=apart) == []
+    connected = evaluate_all(path, -1, "gamma_k_ca", members=apart)
+    assert all(r.target == "gamma_k_ca" for r in connected)
+    cube = hypercube_graph(3).with_asserted_planar()
+    square = VertexSet.from_vertices(cube, [0, 1, 2, 3])
+    face = [(r.name, r.value) for r in evaluate_all(cube, 0, "gamma_k_a", members=square)]
+    assert face[-2:] == [("planar_subgraph_lower", 4), ("faces_lower", 3)]
+    split = evaluate_all(cube, 0, "gamma_k_a", members=VertexSet.from_vertices(cube, [0, 7]))
+    assert split[-1].name == "planar_subgraph_lower"
+    with pytest.raises(ValueError, match="different graph"):
+        evaluate_all(path, -1, "gamma_k_a", members=VertexSet.from_vertices(cycle_graph(9), [0]))
+    with pytest.raises(ValueError, match="nonempty"):
+        evaluate_all(path, -1, "gamma_k_a", members=VertexSet.from_vertices(path, []))
 
 
 def test_bound_report_json_fields():

@@ -199,6 +199,66 @@ def test_bounds_with_set_certifies_and_adds_face_bound(capsys, tmp_path):
     assert by_name["faces_lower"]["value"] == 3
 
 
+def test_bounds_set_reports_follow_the_catalogue_target_rule(capsys, tmp_path):
+    # a_k = 1 on the path at k = -1, so no size bound may reach it; the
+    # connected target carries its own label on every report. The gka output,
+    # set bounds included, is pinned whole.
+    path = tmp_path / "path9.el"
+    path.write_text(to_edge_list(generate("path", n=9)))
+
+    def query(target):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--graph", str(path), "--k", "-1", "--target", target, "--set", "0"
+        )
+        assert code == 0
+        return out
+
+    assert json.loads(query("ak"))["reports"] == []
+    connected = json.loads(query("gkca"))["reports"]
+    assert "tree_lower" in {r["name"] for r in connected}
+    assert all(r["target"] == PARAM_GAMMA_K_CA for r in connected)
+    digest = hashlib.sha256(query("gka").encode()).hexdigest()
+    assert digest == "8a06261e8402efe42cdba149f88a406b0c937756ebf5e4dd420329a94278e022"
+    # An empty set is refused by name, not by the tree bound's component count.
+    code, _, err = run_cli(
+        capsys, "bounds", "--graph", str(path), "--k", "-1", "--target", "gka", "--set", ""
+    )
+    assert code == 2
+    assert "alliances are nonempty" in err
+
+
+def test_bounds_without_k_target_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "path9.el"
+    path.write_text(to_edge_list(generate("path", n=9)))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--graph", str(path), "--k", "0", "--target", "gamma"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gamma'" in capsys.readouterr().err
+
+
+def test_bounds_json_on_the_named_corpus_graphs_is_pinned(capsys, tmp_path):
+    # Every query without --set, over each named graph of the default corpus,
+    # its whole k range and the three k targets, concatenated in that order.
+    digest = hashlib.sha256()
+    queries = 0
+    for spec in default_corpus_spec().graphs:
+        if spec.family.startswith("random"):
+            continue
+        g = spec.build()
+        path = tmp_path / f"{spec.label()}.el"
+        path.write_text(to_edge_list(g))
+        for k in k_range(g):
+            for target in ("ak", "gka", "gkca"):
+                code, out, _ = run_cli(
+                    capsys, "bounds", "--graph", str(path), "--k", str(k), "--target", target
+                )
+                assert code == 0
+                digest.update(out.encode())
+                queries += 1
+    assert queries == 429
+    assert digest.hexdigest() == "3b4a344254655c2626c16c3e8f5216acce33c5ab7094b18e80bf4e1587b42d9b"
+
+
 def test_bounds_cli_marks_the_cubic_bound_na_past_the_search_cap(capsys, tmp_path):
     # gamma of an n = 26 graph is past the search cap, so the 2 * gamma bound
     # abstains instead of failing the whole command.

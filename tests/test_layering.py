@@ -61,3 +61,27 @@ def test_the_oracle_shares_no_search_code():
         todo += [n for n in names if n in functions]
     assert "meets" in names
     assert not names & SEARCH, f"the oracle reaches {sorted(names & SEARCH)}"
+
+
+def test_the_cli_reaches_the_bound_catalogue_only_through_evaluate_all():
+    """Which bounds a query gets, and under which target, is decided in
+    ``bounds`` alone: the cli names no other ``bounds`` function, and none
+    of the graph predicates the set-level bounds test (ROADMAP aim 2)."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    aliases, used, graph_names = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None and alias.name == "bounds":
+                    aliases.add(alias.asname or alias.name)
+                elif node.module == "bounds":
+                    used.add(alias.name)
+                elif node.module == "graphs":
+                    graph_names.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in aliases:
+                used.add(node.attr)
+    assert aliases, "the cli no longer imports bounds"
+    assert used == {"evaluate_all"}, f"the cli calls bounds.{sorted(used - {'evaluate_all'})}"
+    assert not graph_names & {"induced_subgraph", "is_tree", "is_triangle_free"}

@@ -153,6 +153,9 @@ def test_size_cap_and_overrides(monkeypatch):
     with pytest.raises(ResourceLimitError):
         solve(big_star, PARAM_GAMMA)
     assert solve(big_star, PARAM_GAMMA, max_n=30).value == 1
+    for bad in (0, -3, True, 2.5):
+        with pytest.raises(ValueError, match=f"max_n must be a positive integer, not {bad!r}"):
+            solve(big_star, PARAM_GAMMA, max_n=bad)
     monkeypatch.setenv("ALLIANCE_MAX_N", "31")
     assert solve(big_star, PARAM_GAMMA).value == 1
     with pytest.raises(ResourceLimitError):
@@ -185,6 +188,16 @@ def test_stats_are_populated():
     with dp_threshold(DP_FIRST):
         dp = solve(Q3, PARAM_GAMMA_K_A, 0).stats
     assert dp.subsets == dp.prunes == 0 and dp.seconds > 0
+
+
+def test_answer_leaves_out_the_search_effort():
+    # The lex engine and the DP answer Q3's gamma_k_a at k = 0 alike, with
+    # different stats.
+    lex = solve(Q3, PARAM_GAMMA_K_A, 0)
+    with dp_threshold(DP_FIRST):
+        dp = solve(Q3, PARAM_GAMMA_K_A, 0)
+    assert (lex.stats.subsets, lex.stats.prunes) != (dp.stats.subsets, dp.stats.prunes)
+    assert lex.answer == dp.answer == outcome(lex)
 
 
 def test_json_shape():
