@@ -9,6 +9,7 @@ left unsolved, 2 usage error, 3 file or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -165,7 +166,11 @@ def _cmd_paper_suite(_args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one (``main`` runs many times in one process), so callers must not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="kalliance",
         description="Exact defensive k-alliance computation and certification",

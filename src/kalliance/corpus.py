@@ -203,21 +203,44 @@ class CorpusResult:
 
 def _min_dominating_subset(g: Graph, s: VertexSet, gamma_witness: VertexSet) -> VertexSet:
     """Smallest W inside s that dominates the whole graph (s, a certified
-    global alliance, does); the first in ``combinations`` order. No
-    dominating set has fewer than gamma vertices, so the scan starts at the
-    size of gamma's certified witness."""
+    global alliance, does); the first in ``combinations`` order of s's
+    members.
+
+    A vertex that exactly one member of s dominates forces that member
+    into every dominating subset of s (Ore's private neighbours); call the
+    forced members F. A member whose closed neighbourhood F already covers
+    is redundant beside F, so it is in no minimum W. So the scan runs over
+    the combinations of the other members, each with F added, by size from
+    the larger of |F| and the size of gamma's certified witness (no
+    dominating set is smaller). It finds the same W as a scan over all of s:
+    of two sets of one size, ``combinations`` puts A before B exactly when
+    min(A Δ B) lies in A, and taking F out of both leaves A Δ B as it is.
+    """
     if len(s) == g.n:
         return gamma_witness
-    pool = s.members
     full = (1 << g.n) - 1
-    closed = [(1 << v) | g.adjacency[v] for v in pool]
-    for size in range(len(gamma_witness), len(pool) + 1):
-        for combo in combinations(range(len(pool)), size):
-            cover = 0
-            for i in combo:
-                cover |= closed[i]
+    members = s.members
+    closed = [(1 << v) | g.adjacency[v] for v in members]
+    once = twice = 0
+    for cover in closed:
+        twice |= once & cover
+        once |= cover
+    private = once & ~twice
+    forced, covered = [], 0
+    for v, cover in zip(members, closed):
+        if cover & private:
+            forced.append(v)
+            covered |= cover
+    if covered == full:
+        return VertexSet.from_vertices(g, forced)
+    free = [(v, cover) for v, cover in zip(members, closed) if cover & ~covered]
+    for extra in range(max(len(gamma_witness) - len(forced), 1), len(free) + 1):
+        for combo in combinations(free, extra):
+            cover = covered
+            for _, c in combo:
+                cover |= c
             if cover == full:
-                return VertexSet.from_vertices(g, [pool[i] for i in combo])
+                return VertexSet.from_vertices(g, forced + [v for v, _ in combo])
     raise AssertionError("a global alliance always contains a dominating subset")
 
 
@@ -395,6 +418,13 @@ def _certify_graph(gs: GraphSpec) -> _GraphOutcome:
                         continue
                     if size > report.value:
                         flag(f"{where}: {report.name}={report.value} construction built {size}")
+            if target == PARAM_A_K and res.found:
+                # A member's neighbours in S lie in its own component of
+                # G[S], so each component of a defensive k-alliance is one
+                # too: a minimum one is connected.
+                parts = connected_components_of(g, res.witness.bits)
+                if parts > 1:
+                    flag(f"{where}: witness induces {parts} components; a minimum one is connected")
             if target == PARAM_GAMMA_T and res.found and connected and g.n >= 3:
                 if res.value > (2 * g.n) // 3:
                     flag(f"{gid}: gamma_t {res.value} exceeds floor(2n/3) = {(2 * g.n) // 3}")

@@ -717,6 +717,24 @@ def test_default_corpus_json_report_is_pinned(default_corpus):
     assert digest == "1757c0ac46f165de579682ce960ba27e42bd90c16d0bdc1bb315275cc030cf41"
 
 
+@pytest.mark.slow
+def test_certify_past_the_size_cap_at_the_frontier(monkeypatch):
+    # Connected cubic graphs with n = 36 and 40 and a tree with n = 40, past
+    # the default cap. The CSV's digest was recorded while W was still found
+    # by scanning every subset of S (about 35 s then, most of it in W).
+    monkeypatch.setenv("ALLIANCE_MAX_N", "64")
+    spec = CorpusSpec(graphs=(
+        corpus._connected_spec("random_cubic", 1, n=36),
+        corpus._connected_spec("random_cubic", 2, n=36),
+        corpus._connected_spec("random_cubic", 1, n=40),
+        GraphSpec.of("random_tree", n=40, seed=1),
+    ))
+    result = run_corpus(spec)
+    assert result.total_violations() == 0 and result.unsolved_cells() == 0
+    digest = hashlib.sha256(result.to_csv().encode()).hexdigest()
+    assert digest == "1a347b1c6a071b4f6a3e41fa48dfdcb34477b77e449a8cb85c4396ae534e2ffa"
+
+
 def test_corpus_spec_json_round_trip():
     text = json.dumps(SMALL_SPEC.to_json_dict())
     again = load_corpus_spec(text)
@@ -885,6 +903,26 @@ def test_a_witness_failing_re_certification_is_reported_not_raised(
     assert (entry.status, entry.value) == ("found", len(members))
     assert any("witness failed re-certification" in v for v in entry.violations)
     assert not any("shrink" in v for v in result.all_violations()), result.all_violations()
+
+
+def test_a_disconnected_a_k_witness_is_flagged_on_its_cell(monkeypatch):
+    # {0, 5} on the path 0-...-5 is a defensive (-1)-alliance (each leaf has
+    # one neighbour, outside), but each leaf alone is a smaller one.
+    real_reuse = corpus._reuse_relaxations
+
+    def injected(g, target, k, posed, relaxations):
+        if (target, k) != (PARAM_A_K, -1):
+            return real_reuse(g, target, k, posed, relaxations)
+        witness = VertexSet.from_vertices(g, [0, 5])
+        found = solver.SolveResult(target, k, "found", 2, witness, solver.SearchStats(0, 0, 0.0))
+        return found, None, "fresh"
+
+    monkeypatch.setattr(corpus, "_reuse_relaxations", injected)
+    result = run_corpus(CorpusSpec(graphs=(GraphSpec.of("path", n=6),)))
+    gid = result.records[0].graph
+    assert result.all_violations() == [
+        f"{gid} k=-1 a_k: witness induces 2 components; a minimum one is connected"
+    ]
 
 
 def test_certify_cli_small_spec(capsys, tmp_path):
