@@ -2,16 +2,19 @@
 tracking, plus the complete-graph closed form and the degree-parity
 normalizer.
 
-Every real-valued lower bound is reported as a ceiling clamped to >= 1
-(alliance numbers are integers and alliances are nonempty); upper bounds are
-exact integer expressions. Bounds whose hypotheses a graph does not meet are
-reported without a value (not ``applicable``) and with a reason, never raised.
+``_BOUNDS`` is the catalogue: each bound's kind, the parameter it is stated
+for and its anchor. ``_report`` builds every report, relabelled ones too,
+from that table, and alone clamps lower bounds: each real-valued one is
+reported as a ceiling clamped to >= 1 (alliance numbers are integers and
+alliances are nonempty); upper bounds are exact integer expressions. Bounds
+whose hypotheses a graph does not meet are reported without a value (not
+``applicable``) and with a reason, never raised.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alliances import (
     PARAM_A_K,
@@ -71,22 +74,72 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _ceil_half_sqrt_plus(disc: int, offset: int) -> int:
-    """Smallest integer x with x >= (sqrt(disc) + offset) / 2, computed exactly.
+# ---------------------------------------------------------------------------
+# The catalogue: each bound's kind, the parameter it is stated for, its anchor
+# ---------------------------------------------------------------------------
 
-    Equivalent to 2x - offset >= sqrt(disc) with both sides nonnegative, so
-    floats never enter the comparison.
-    """
+_PLANAR = (KIND_LOWER, PARAM_GAMMA_K_A, "planar: |S| >= (n + 12) / (7 - k)")
+
+_BOUNDS = {
+    "lower_sqrt": (KIND_LOWER, PARAM_GAMMA_K_A, "size >= (sqrt(4n + k^2) + k) / 2"),
+    "upper_min_degree": (KIND_UPPER, PARAM_GAMMA_K_A, "size <= n - floor((min_deg - k) / 2)"),
+    "lower_maxdeg": (KIND_LOWER, PARAM_GAMMA_K_A, "size >= n / (floor((max_deg - k) / 2) + 1)"),
+    "line_graph_lower": (
+        KIND_LOWER, PARAM_GAMMA_K_A, "line-graph size >= m / (floor((d1 + d2 - 2 - k) / 2) + 1)"),
+    "cubic_upper_2gamma": (
+        KIND_UPPER, PARAM_GAMMA_K_A, "cubic: size at k=-1 <= 2 * domination number"),
+    "planar_subgraph_lower": _PLANAR,
+    "planar_graph_lower": _PLANAR,
+    "faces_lower": (
+        KIND_LOWER, PARAM_GAMMA_K_A,
+        "planar connected <S> with f faces: |S| >= (n - 2f + 4) / (3 - k)"),
+    "tree_lower": (
+        KIND_LOWER, PARAM_GAMMA_K_A, "tree, <S> with c components: |S| >= (n + 2c) / (3 - k)"),
+    "connected_lower_i": (
+        KIND_LOWER, PARAM_GAMMA_K_CA, "size >= (sqrt(4(diam + n - 1) + (1 - k)^2) + k - 1) / 2"),
+    "connected_lower_ii": (
+        KIND_LOWER, PARAM_GAMMA_K_CA, "size >= (n + diam - 1) / (floor((max_deg - k) / 2) + 2)"),
+    "line_graph_connected_lower_i": (
+        KIND_LOWER, PARAM_GAMMA_K_CA,
+        "line-graph size >= (sqrt(4(diam + m - 2) + (1 - k)^2) - (1 - k)) / 2"),
+    "line_graph_connected_lower_ii": (
+        KIND_LOWER, PARAM_GAMMA_K_CA, "line-graph size >= 2(m + diam - 2) / (d1 + d2 - k + 1)"),
+}
+
+
+def _report(
+    name: str, k: int, value: int | None = None, reason: str | None = None,
+    anchor: str | None = None, target: str | None = None,
+) -> BoundReport:
+    """The report of bound ``name`` at k: its kind, and unless given its
+    anchor and target, from ``_BOUNDS``. A lower bound's value is clamped
+    to >= 1; without a value the report abstains for ``reason``."""
+    kind, stated, stated_anchor = _BOUNDS[name]
+    if value is not None and kind == KIND_LOWER:
+        value = max(1, value)
+    return BoundReport(name, anchor or stated_anchor, kind, target or stated, k, value, reason)
+
+
+def _ratio(
+    name: str, k: int, numerator: int, denominator: int, anchor: str | None = None
+) -> BoundReport:
+    """The ceiling of numerator / denominator, or an abstention when the
+    denominator is not positive."""
+    if denominator < 1:
+        return _report(name, k, reason=f"nonpositive denominator for k={k}", anchor=anchor)
+    return _report(name, k, _ceil_div(numerator, denominator), anchor=anchor)
+
+
+def _root(name: str, k: int, disc: int, offset: int) -> BoundReport:
+    """The least integer x >= (sqrt(disc) + offset) / 2, or an abstention
+    when disc is negative. The test is 2x - offset >= sqrt(disc) with both
+    sides nonnegative, so floats never enter the comparison."""
     if disc < 0:
-        raise ValueError("negative discriminant")
+        return _report(name, k, reason=f"negative discriminant {disc} for k={k}")
     x = (math.isqrt(disc) + offset) // 2
     while 2 * x - offset < 0 or (2 * x - offset) ** 2 < disc:
         x += 1
-    return x
-
-
-def _na(name: str, anchor: str, kind: str, target: str, k: int, reason: str) -> BoundReport:
-    return BoundReport(name, anchor, kind, target, k, None, reason)
+    return _report(name, k, x)
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +148,7 @@ def _na(name: str, anchor: str, kind: str, target: str, k: int, reason: str) -> 
 
 def lower_sqrt(n: int, k: int) -> BoundReport:
     """size >= (sqrt(4n + k^2) + k) / 2 for any global defensive k-alliance."""
-    anchor = "size >= (sqrt(4n + k^2) + k) / 2"
-    value = max(1, _ceil_half_sqrt_plus(4 * n + k * k, k))
-    return BoundReport("lower_sqrt", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
+    return _root("lower_sqrt", k, 4 * n + k * k, k)
 
 
 def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
@@ -108,39 +159,28 @@ def upper_min_degree(n: int, d_min: int, k: int, d_max: int) -> BoundReport:
     ``upper_witness_drops``; where that raises, the report abstains with
     its message.
     """
-    anchor = "size <= n - floor((min_deg - k) / 2)"
     try:
         drops = upper_witness_drops(d_min, d_max, k)
     except ValueError as exc:
-        return _na("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, str(exc))
-    return BoundReport("upper_min_degree", anchor, KIND_UPPER, PARAM_GAMMA_K_A, k, n - drops)
+        return _report("upper_min_degree", k, reason=str(exc))
+    return _report("upper_min_degree", k, n - drops)
 
 
 def lower_maxdeg(n: int, d_max: int, k: int) -> BoundReport:
     """size >= n / (floor((max_degree - k) / 2) + 1)."""
-    anchor = "size >= n / (floor((max_deg - k) / 2) + 1)"
     if k > d_max:
-        return _na(
-            "lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
-            f"k={k} exceeds maximum degree {d_max}",
-        )
-    value = max(1, _ceil_div(n, (d_max - k) // 2 + 1))
-    return BoundReport("lower_maxdeg", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
+        return _report("lower_maxdeg", k, reason=f"k={k} exceeds maximum degree {d_max}")
+    return _report("lower_maxdeg", k, _ceil_div(n, (d_max - k) // 2 + 1))
 
 
 def line_graph_lower(m: int, d1: int, d2: int, k: int) -> BoundReport:
     """Bound on the line graph's global defensive k-alliance number from the
     base graph's size and two largest degrees."""
-    anchor = "line-graph size >= m / (floor((d1 + d2 - 2 - k) / 2) + 1)"
     if m < 1:
         raise ValueError("line graph bound needs m >= 1")
     if d1 + d2 - 2 - k < 0:
-        return _na(
-            "line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
-            f"k={k} exceeds d1 + d2 - 2 = {d1 + d2 - 2}",
-        )
-    value = max(1, _ceil_div(m, (d1 + d2 - 2 - k) // 2 + 1))
-    return BoundReport("line_graph_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
+        return _report("line_graph_lower", k, reason=f"k={k} exceeds d1 + d2 - 2 = {d1 + d2 - 2}")
+    return _report("line_graph_lower", k, _ceil_div(m, (d1 + d2 - 2 - k) // 2 + 1))
 
 
 def cubic_upper_2gamma(g: Graph, gamma: int | None = None) -> BoundReport:
@@ -148,35 +188,22 @@ def cubic_upper_2gamma(g: Graph, gamma: int | None = None) -> BoundReport:
     most twice the domination number. Pass ``gamma`` when it is known;
     otherwise it is solved for, and the report abstains when that solve is
     past the size cap."""
-    anchor = "cubic: size at k=-1 <= 2 * domination number"
     if not is_cubic(g):
-        return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, "not cubic")
+        return _report("cubic_upper_2gamma", -1, reason="not cubic")
     if gamma is None:
         try:
             gamma = solve(g, PARAM_GAMMA).value
         except ResourceLimitError as exc:
-            return _na("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, str(exc))
-    return BoundReport("cubic_upper_2gamma", anchor, KIND_UPPER, PARAM_GAMMA_K_A, -1, 2 * gamma)
+            return _report("cubic_upper_2gamma", -1, reason=str(exc))
+    return _report("cubic_upper_2gamma", -1, 2 * gamma)
 
 
 def _planar_body(name: str, n: int, k: int, triangle_free: bool) -> BoundReport:
     if n <= 2 * (2 - k):
-        return _na(
-            name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, PARAM_GAMMA_K_A, k,
-            f"order {n} does not exceed 2(2 - k) = {2 * (2 - k)}",
-        )
+        return _report(name, k, reason=f"order {n} does not exceed 2(2 - k) = {2 * (2 - k)}")
     if triangle_free and k <= 4:
-        anchor = "planar triangle-free: |S| >= (n + 8) / (5 - k)"
-        value = max(1, _ceil_div(n + 8, 5 - k))
-        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
-    if k <= 6:
-        anchor = "planar: |S| >= (n + 12) / (7 - k)"
-        value = max(1, _ceil_div(n + 12, 7 - k))
-        return BoundReport(name, anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
-    return _na(
-        name, "planar: |S| >= (n + 12) / (7 - k)", KIND_LOWER, PARAM_GAMMA_K_A, k,
-        f"nonpositive denominator for k={k}",
-    )
+        return _ratio(name, k, n + 8, 5 - k, "planar triangle-free: |S| >= (n + 8) / (5 - k)")
+    return _ratio(name, k, n + 12, 7 - k)
 
 
 def planar_subgraph_lower(n: int, k: int, triangle_free_s: bool) -> BoundReport:
@@ -194,14 +221,7 @@ def planar_graph_lower(n: int, k: int, triangle_free: bool) -> BoundReport:
 def faces_lower(n: int, f: int, k: int) -> BoundReport:
     """|S| >= (n - 2f + 4) / (3 - k) when the induced subgraph is planar and
     connected with f faces."""
-    anchor = "planar connected <S> with f faces: |S| >= (n - 2f + 4) / (3 - k)"
-    if k >= 3:
-        return _na(
-            "faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
-            f"nonpositive denominator for k={k}",
-        )
-    value = max(1, _ceil_div(n - 2 * f + 4, 3 - k))
-    return BoundReport("faces_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
+    return _ratio("faces_lower", k, n - 2 * f + 4, 3 - k)
 
 
 def induced_face_count(g: Graph, members) -> int:
@@ -217,63 +237,31 @@ def induced_face_count(g: Graph, members) -> int:
 def tree_lower(n: int, c: int, k: int) -> BoundReport:
     """For trees: |S| >= (n + 2c) / (3 - k), c = components induced by S
     (c = 1 gives the plain tree bound)."""
-    anchor = "tree, <S> with c components: |S| >= (n + 2c) / (3 - k)"
     if c < 1:
         raise ValueError("component count must be at least 1")
-    if k >= 3:
-        return _na(
-            "tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k,
-            f"nonpositive denominator for k={k}",
-        )
-    value = max(1, _ceil_div(n + 2 * c, 3 - k))
-    return BoundReport("tree_lower", anchor, KIND_LOWER, PARAM_GAMMA_K_A, k, value)
+    return _ratio("tree_lower", k, n + 2 * c, 3 - k)
 
 
 def connected_lower_i(n: int, d: int, k: int) -> BoundReport:
     """Connected alliances: size >= (sqrt(4(diam + n - 1) + (1-k)^2) + k - 1) / 2."""
-    anchor = "size >= (sqrt(4(diam + n - 1) + (1 - k)^2) + k - 1) / 2"
-    disc = 4 * (d + n - 1) + (1 - k) ** 2
-    value = max(1, _ceil_half_sqrt_plus(disc, k - 1))
-    return BoundReport("connected_lower_i", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value)
+    return _root("connected_lower_i", k, 4 * (d + n - 1) + (1 - k) ** 2, k - 1)
 
 
 def connected_lower_ii(n: int, d: int, d_max: int, k: int) -> BoundReport:
     """Connected alliances: size >= (n + diam - 1) / (floor((max_deg - k)/2) + 2)."""
-    anchor = "size >= (n + diam - 1) / (floor((max_deg - k) / 2) + 2)"
-    den = (d_max - k) // 2 + 2
-    if den < 1:
-        return _na(
-            "connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k,
-            f"nonpositive denominator for k={k}",
-        )
-    value = max(1, _ceil_div(n + d - 1, den))
-    return BoundReport("connected_lower_ii", anchor, KIND_LOWER, PARAM_GAMMA_K_CA, k, value)
+    return _ratio("connected_lower_ii", k, n + d - 1, (d_max - k) // 2 + 2)
 
 
 def line_graph_connected_lower(
     m: int, d: int, d1: int, d2: int, k: int
 ) -> tuple[BoundReport, BoundReport]:
-    """Connected-alliance bounds for the line graph from base-graph data."""
+    """Connected-alliance bounds for the line graph from base-graph data.
+    The first abstains when its discriminant is negative, as on the line
+    graph of one edge (m = 1, diameter 0) at k = 0, 1, 2."""
     if m < 1:
         raise ValueError("line graph bounds need m >= 1")
-    anchor_i = "line-graph size >= (sqrt(4(diam + m - 2) + (1 - k)^2) - (1 - k)) / 2"
-    disc = 4 * (d + m - 2) + (1 - k) ** 2
-    value_i = max(1, _ceil_half_sqrt_plus(disc, k - 1))
-    first = BoundReport(
-        "line_graph_connected_lower_i", anchor_i, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_i
-    )
-    anchor_ii = "line-graph size >= 2(m + diam - 2) / (d1 + d2 - k + 1)"
-    den = d1 + d2 - k + 1
-    if den < 1:
-        second = _na(
-            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k,
-            f"nonpositive denominator for k={k}",
-        )
-    else:
-        value_ii = max(1, _ceil_div(2 * (m + d - 2), den))
-        second = BoundReport(
-            "line_graph_connected_lower_ii", anchor_ii, KIND_LOWER, PARAM_GAMMA_K_CA, k, value_ii
-        )
+    first = _root("line_graph_connected_lower_i", k, 4 * (d + m - 2) + (1 - k) ** 2, k - 1)
+    second = _ratio("line_graph_connected_lower_ii", k, 2 * (m + d - 2), d1 + d2 - k + 1)
     return first, second
 
 
@@ -300,6 +288,15 @@ def parity_collapse(g: Graph, k: int) -> int:
 # Aggregation
 # ---------------------------------------------------------------------------
 
+def _relabel(reports: list[BoundReport], target: str) -> list[BoundReport]:
+    """``reports`` under ``target``: a bound on gamma_k_a holds for
+    gamma_k_ca too."""
+    return [
+        r if r.target == target else _report(r.name, r.k, r.value, r.reason, r.anchor, target)
+        for r in reports
+    ]
+
+
 def _check_target(target: str):
     if not lookup_parameter(target).defensive:
         raise ValueError(f"bounds are catalogued for the k parameters only, not {target!r}")
@@ -318,19 +315,11 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
     _check_target(target)
     if target == PARAM_A_K:
         return []
-    reports = [
-        lower_sqrt(g.n, k),
-        lower_maxdeg(g.n, g.max_degree, k),
-    ]
+    reports = [lower_sqrt(g.n, k), lower_maxdeg(g.n, g.max_degree, k)]
     if g.asserted_planar:
         reports.append(planar_graph_lower(g.n, k, is_triangle_free(g)))
     else:
-        reports.append(
-            _na(
-                "planar_graph_lower", "planar: |S| >= (n + 12) / (7 - k)",
-                KIND_LOWER, PARAM_GAMMA_K_A, k, "graph not asserted planar",
-            )
-        )
+        reports.append(_report("planar_graph_lower", k, reason="graph not asserted planar"))
     if is_tree(g):
         reports.append(tree_lower(g.n, 1, k))
     if target == PARAM_GAMMA_K_CA:
@@ -338,7 +327,7 @@ def lower_reports(g: Graph, k: int, target: str) -> list[BoundReport]:
             d = diameter(g)
             reports.append(connected_lower_i(g.n, d, k))
             reports.append(connected_lower_ii(g.n, d, g.max_degree, k))
-        reports = [replace(r, target=PARAM_GAMMA_K_CA) for r in reports]
+        return _relabel(reports, PARAM_GAMMA_K_CA)
     return reports
 
 
@@ -383,7 +372,7 @@ def evaluate_all(
         own.append(planar_subgraph_lower(g.n, k, is_triangle_free(induced_subgraph(g, members))))
         if components == 1:
             own.append(faces_lower(g.n, induced_face_count(g, members), k))
-    return reports + [replace(r, target=target) for r in own]
+    return reports + _relabel(own, target)
 
 
 def best_lower(reports: list[BoundReport]) -> int | None:

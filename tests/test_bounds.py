@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -179,6 +182,14 @@ def test_line_graph_connected_values():
     assert solve(complete_graph(2), "gamma_k_ca", 0).value == 2
     _, second = line_graph_connected_lower(1, 1, 1, 1, 4)
     assert not second.applicable
+    # One edge (m = 1) has the line graph K_1, of diameter 0: bound (i)'s
+    # discriminant 4(0 + 1 - 2) + (1 - k)^2 is negative at k = 0, 1, 2, where
+    # it abstains, and zero at k = -1, 3.
+    for k in (0, 1, 2):
+        first, _ = line_graph_connected_lower(1, 0, 1, 1, k)
+        assert not first.applicable and first.reason.startswith("negative discriminant")
+    assert [line_graph_connected_lower(1, 0, 1, 1, k)[0].value for k in (-1, 3)] == [1, 1]
+    assert solve(complete_graph(1), "gamma_k_ca", 0).value == 1
     with pytest.raises(ValueError):
         line_graph_connected_lower(0, 1, 1, 1, 0)
 
@@ -261,6 +272,56 @@ def test_evaluate_all_appends_the_set_bounds_under_the_target_rule():
         evaluate_all(path, -1, "gamma_k_a", members=VertexSet.from_vertices(cycle_graph(9), [0]))
     with pytest.raises(ValueError, match="nonempty"):
         evaluate_all(path, -1, "gamma_k_a", members=VertexSet.from_vertices(path, []))
+
+
+def _grid_reports():
+    """Every public bound function over a fixed grid: n (or m) = 1-39,
+    k = -12...12, degrees 0-6, diameters 0-6 (0-2 for the line graph),
+    faces 0-5, components 1-4, triangle-free both ways. The line-graph
+    bounds read d1 and d2 only through d1 + d2, so the pairs with
+    d1 - d2 <= 1 stand for every sum 0-12 once. Left out:
+    ``line_graph_connected_lower`` with m = 1 and diameter 0, the line graph
+    of one edge, whose first bound abstains there on a negative discriminant
+    (``test_line_graph_connected_values`` covers it)."""
+    degrees = range(7)
+    pairs = [(d1, d2) for d1 in degrees for d2 in (d1 - 1, d1) if d2 >= 0]
+    for n, k in itertools.product(range(1, 40), range(-12, 13)):
+        yield lower_sqrt(n, k)
+        for triangle_free in (False, True):
+            yield planar_subgraph_lower(n, k, triangle_free)
+            yield planar_graph_lower(n, k, triangle_free)
+        for f in range(6):
+            yield faces_lower(n, f, k)
+        for c in range(1, 5):
+            yield tree_lower(n, c, k)
+        for d_max in degrees:
+            yield lower_maxdeg(n, d_max, k)
+            for d_min in range(d_max + 1):
+                yield upper_min_degree(n, d_min, k, d_max)
+        for d in degrees:
+            yield connected_lower_i(n, d, k)
+            for d_max in degrees:
+                yield connected_lower_ii(n, d, d_max, k)
+        for d1, d2 in pairs:
+            yield line_graph_lower(n, d1, d2, k)
+            for d in range(3):
+                if (n, d) != (1, 0):
+                    yield from line_graph_connected_lower(n, d, d1, d2, k)
+    for g in (complete_graph(4), hypercube_graph(3), petersen_graph(), star_graph(5),
+              random_cubic(26, 1)):
+        for gamma in (None, 3):
+            yield cubic_upper_2gamma(g, gamma)
+
+
+def test_standalone_bounds_are_pinned_on_a_grid():
+    """Values, abstentions and their reasons, anchors, kinds and targets of
+    every report on ``_grid_reports``; the digest was recorded before the
+    catalogue was rebuilt on one table of bounds."""
+    reports = [r.to_json_dict() for r in _grid_reports()]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert (len(reports), digest) == (
+        191435, "80e9407207bb45e2690fb3fc602050bbd80af4561c5673d44ea14a173a737e59"
+    )
 
 
 def test_bound_report_json_fields():

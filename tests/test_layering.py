@@ -85,3 +85,25 @@ def test_the_cli_reaches_the_bound_catalogue_only_through_evaluate_all():
     assert aliases, "the cli no longer imports bounds"
     assert used == {"evaluate_all"}, f"the cli calls bounds.{sorted(used - {'evaluate_all'})}"
     assert not graph_names & {"induced_subgraph", "is_tree", "is_triangle_free"}
+
+
+def test_every_bound_report_is_built_by_the_catalogue_constructor():
+    """``bounds`` builds a ``BoundReport`` only inside ``_report``, which
+    reads each bound's kind, target and anchor from ``_BOUNDS`` and clamps
+    lower bounds, and it takes nothing from ``dataclasses`` but
+    ``dataclass``: no report is relabelled by ``replace`` past the table."""
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    builders = [
+        function.name
+        for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BoundReport"
+    ]
+    assert builders == ["_report"], f"BoundReport is built in {builders}"
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names if alias.name == "dataclasses")
+    assert imported == {"dataclass"}, f"bounds imports {sorted(imported)} from dataclasses"

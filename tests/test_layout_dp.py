@@ -16,6 +16,7 @@ kept here: the same order and bound, or a decline where the reference's
 bound passes the cap.
 """
 
+import random
 import time
 
 import pytest
@@ -29,6 +30,8 @@ from kalliance.alliances import (
     PARAM_GAMMA_K_CA,
     PARAM_GAMMA_T,
     VertexSet,
+    lookup_parameter,
+    meets,
 )
 from kalliance.cli import main
 from kalliance.graphs import (
@@ -506,6 +509,69 @@ def test_a_lex_half_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
     err = _oracle_check_errors(pet, capsys, tmp_path)
     assert "mismatch: gamma_k_a k=0: solver found/6/(0, 1, 2, 3, 4, 5) vs oracle found/5/" in err
     assert "mismatch: gamma " not in err and "mismatch: gamma_t " not in err
+
+
+def _relabelling_mismatches(g, seeds):
+    """``gamma_k_a`` at k = 0 on g and on g under each vertex permutation
+    drawn from ``seeds``, solved with ``max_n=64``. A permutation keeps the
+    value and maps a feasible set to a feasible set, so each permuted solve
+    whose value differs from g's, or whose witness's preimage fails the
+    demands, is listed as ``(seed, value, preimage meets)``. Each layout must
+    accept first: on a decline ``solve`` would fall to a lex scan from size 1
+    that does not end at these orders."""
+    demands = lookup_parameter(PARAM_GAMMA_K_A).demands
+
+    def accepted_solve(h):
+        _, bound = solver._layout(h, problem(h, PARAM_GAMMA_K_A, 0)[2])
+        assert bound <= solver._LAYOUT_MAX_STATES, f"the layout declines: {h.edges}"
+        return solver.solve(h, PARAM_GAMMA_K_A, 0, max_n=64)
+
+    want = accepted_solve(g).value
+    found = []
+    for seed in seeds:
+        perm = list(range(g.n))
+        random.Random(seed).shuffle(perm)
+        res = accepted_solve(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+        preimage = sum(1 << v for v in range(g.n) if res.witness.bits >> perm[v] & 1)
+        ok = meets(g, preimage, 0, demands)
+        if res.value != want or not ok:
+            found.append((seed, res.value, ok))
+    return found
+
+
+def test_a_value_one_too_high_on_a_relabelled_graph_is_caught(monkeypatch):
+    """Fault injection: a DP whose witness has one vertex too many on every
+    graph but the unpermuted one is reported on each permutation. A fault
+    that every labelling shares keeps the value invariant, so only the
+    preimage check can see it, when the extra vertex breaks the demands;
+    the differential checks above are the ones for that."""
+    g = random_cubic(20, 1)
+    real = solver._layout_value
+
+    def one_too_high(h, posed):
+        bits = real(h, posed)
+        if h == g:
+            return bits
+        spare = ((1 << h.n) - 1) & ~bits
+        return bits | (spare & -spare)
+
+    assert _relabelling_mismatches(g, range(3)) == []
+    monkeypatch.setattr(solver, "_layout_value", one_too_high)
+    want = solver.solve(g, PARAM_GAMMA_K_A, 0).value
+    assert [seed for seed, value, _ in _relabelling_mismatches(g, range(3)) if value == want + 1] == [
+        0, 1, 2
+    ]
+
+
+@pytest.mark.slow
+def test_a_relabelled_graph_keeps_its_value_beyond_the_oracle():
+    """n = 40..56, where only the DP reaches: ``gamma_k_a`` at k = 0 keeps
+    its value under three seeded vertex permutations of each of six
+    ``random_cubic`` graphs, and each permuted witness maps back to a
+    feasible set."""
+    for n, seed in ((40, 1), (40, 2), (44, 1), (48, 1), (52, 1), (56, 1)):
+        g = random_cubic(n, seed)
+        assert _relabelling_mismatches(g, range(3)) == [], (n, seed)
 
 
 @pytest.mark.slow
