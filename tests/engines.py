@@ -2,7 +2,8 @@
 one place they set its threshold, ``solver._DP_MIN_N``. At ``LEX_ONLY`` no
 graph is large enough, so the lex engine answers every problem; at
 ``DP_FIRST`` every graph is, so the layout DP answers every problem it
-models and accepts."""
+models and accepts. ``dp_witness`` asks the DP alone, also on the problems
+the engine choice never hands it."""
 
 import contextlib
 import math
@@ -34,3 +35,12 @@ def routed_solve(g, target, k, threshold, floor=1):
 def lex_solve(g, target, k, floor=1):
     """The lex engine alone from size ``floor``."""
     return routed_solve(g, target, k, LEX_ONLY, floor)
+
+
+def dp_witness(g, target, k=None):
+    """The layout DP's lex-least witness of ``target`` at k on g, as a
+    bitmask (0 when none exists). The DP must accept the problem: a decline
+    fails here instead of reading as a mismatch."""
+    bits = solver._layout_value(g, solver.problem(g, target, k))
+    assert bits is not None, f"the layout DP declines {target} k={k} on {g.edges}"
+    return bits

@@ -6,8 +6,10 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kalliance import known_values
 from kalliance.alliances import VertexSet, certify
 from kalliance.bounds import (
+    _BOUNDS,
     best_lower,
     best_upper,
     connected_lower_i,
@@ -407,3 +409,41 @@ def test_catalogue_brackets_the_oracle_on_the_atlas():
                 checked += _check_brackets(g, k, target, gamma)
     # Both counts are fixed, so the sample cannot shrink unnoticed.
     assert (len(atlas), checked) == (996, 53188)
+
+
+def test_the_tight_families_are_named():
+    """ROADMAP item 7: for each catalogue bound, the named graphs of the
+    paper-suite's table, ``known_values._EXACT``, on which it is attained,
+    leaving out cells whose value is 1 or n. Every table value is first
+    checked against ``solve``. ``line_graph_lower`` is read on K_4 from its
+    base graph, the 4-star; the other bounds come from ``evaluate_all``."""
+    graphs = known_values._named_graphs()
+    m, _, d1, d2 = known_values._line_graph_data(graphs["4-star"])
+    tight = {name: set() for name in _BOUNDS}
+    for label, table in known_values._EXACT.items():
+        g = graphs[label]
+        for (target, k), exact in table.items():
+            assert solve(g, target, k).value == exact, (label, target, k)
+            if k is None or not 1 < exact < g.n:
+                continue
+            reports = evaluate_all(g, k, target)
+            if label == "K_4":
+                reports.append(line_graph_lower(m, d1, d2, k))
+            for report in reports:
+                if report.value == exact:
+                    tight[report.name].add(label)
+    assert tight == {
+        "lower_sqrt": {"cube", "K_4", "4-star", "K_3,3"},
+        "upper_min_degree": {"K_4"},
+        "lower_maxdeg": {"cube", "petersen", "K_4", "4-star", "K_3,3"},
+        "line_graph_lower": {"K_4"},
+        "cubic_upper_2gamma": {"cube", "K_4"},
+        "planar_subgraph_lower": set(),
+        "planar_graph_lower": {"cube", "4-star"},
+        "faces_lower": set(),
+        "tree_lower": {"4-star"},
+        "connected_lower_i": {"cube", "K_3,3"},
+        "connected_lower_ii": {"cube", "K_3,3"},
+        "line_graph_connected_lower_i": set(),
+        "line_graph_connected_lower_ii": set(),
+    }

@@ -287,6 +287,10 @@ def test_paper_suite_passes(capsys):
     assert "FAIL" not in out
     checks = benchmark_refs()["small-verify"]["paper_suite_checks"]
     assert out.splitlines()[-1] == f"{checks}/{checks} checks passed"
+    # Every check's name, order and detail: a renamed, reordered or dropped
+    # check changes the digest.
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4394bd1f5a2fe270fa4f3fd8d3153e96580d2d6bce3252c478288e7069914811"
 
 
 # ---------------------------------------------------------------------------

@@ -63,28 +63,55 @@ def test_the_oracle_shares_no_search_code():
     assert not names & SEARCH, f"the oracle reaches {sorted(names & SEARCH)}"
 
 
-def test_the_cli_reaches_the_bound_catalogue_only_through_evaluate_all():
-    """Which bounds a query gets, and under which target, is decided in
-    ``bounds`` alone: the cli names no other ``bounds`` function, and none
-    of the graph predicates the set-level bounds test (ROADMAP aim 2)."""
-    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
-    aliases, used, graph_names = set(), set(), set()
+def names_taken(name: str, source: str) -> tuple[set[str], set[str]]:
+    """The aliases under which module ``name`` imports package module
+    ``source`` (``from . import source``), and the names it takes from
+    ``source``: imported by ``from .source import ...`` or read as an
+    attribute of an alias."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    aliases, used = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             for alias in node.names:
-                if node.module is None and alias.name == "bounds":
+                if node.module is None and alias.name == source:
                     aliases.add(alias.asname or alias.name)
-                elif node.module == "bounds":
+                elif node.module == source:
                     used.add(alias.name)
-                elif node.module == "graphs":
-                    graph_names.add(alias.name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id in aliases:
                 used.add(node.attr)
+    return aliases, used
+
+
+def test_the_cli_reaches_the_bound_catalogue_only_through_evaluate_all():
+    """Which bounds a query gets, and under which target, is decided in
+    ``bounds`` alone: the cli names no other ``bounds`` function, and none
+    of the graph predicates the set-level bounds test (ROADMAP aim 2)."""
+    aliases, used = names_taken("cli", "bounds")
+    _, graph_names = names_taken("cli", "graphs")
     assert aliases, "the cli no longer imports bounds"
     assert used == {"evaluate_all"}, f"the cli calls bounds.{sorted(used - {'evaluate_all'})}"
     assert not graph_names & {"induced_subgraph", "is_tree", "is_triangle_free"}
+
+
+# The line-graph bounds are stated on a base graph's invariants, so
+# ``evaluate_all`` does not give them.
+SUITE_BOUNDS = {
+    "evaluate_all", "kn_closed_form", "parity_collapse",
+    "line_graph_lower", "line_graph_connected_lower",
+}
+
+
+def test_the_paper_suite_reaches_the_bound_catalogue_only_through_evaluate_all():
+    """Which graph invariants feed each catalogue bound is decided in
+    ``bounds`` alone: ``known_values`` names no catalogue bound but the two
+    line-graph ones, and no other ``bounds`` name but the report kinds
+    (ROADMAP aim 2)."""
+    aliases, used = names_taken("known_values", "bounds")
+    assert aliases and "evaluate_all" in used, "the paper-suite no longer reads evaluate_all"
+    others = {name for name in used - SUITE_BOUNDS if not name.startswith("KIND_")}
+    assert not others, f"the paper-suite calls bounds.{sorted(others)}"
 
 
 def test_every_bound_report_is_built_by_the_catalogue_constructor():

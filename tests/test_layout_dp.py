@@ -48,7 +48,7 @@ from kalliance.graphs import (
 )
 from kalliance.solver import STATUS_FOUND, STATUS_NONE, brute_force_oracle, problem
 
-from .engines import DP_FIRST, LEX_ONLY, dp_threshold, lex_solve, routed_solve
+from .engines import DP_FIRST, LEX_ONLY, dp_threshold, dp_witness, lex_solve, routed_solve
 from .strategies import graphs
 
 
@@ -457,12 +457,10 @@ def test_a_layout_value_one_too_high_is_caught(monkeypatch, capsys, tmp_path):
     assert "mismatch: gamma " not in err and "mismatch: gamma_t " not in err
 
 
-def test_a_witness_that_is_not_lex_least_is_caught(monkeypatch, capsys, tmp_path):
-    """Fault injection: a DP that returns a feasible optimum other than the
-    lex-least, its answer on the reversed labelling mapped back, is reported
-    by both differential checks, by the threshold check and, with the
-    threshold at 0, by ``oracle-check``."""
-    real = solver._layout_value
+def _mirrored(real):
+    """A layout DP that answers with ``real``'s lex-least optimum on the
+    reversed labelling, mapped back: a feasible optimum of the right size
+    that is, in general, not the lex-least."""
 
     def mirrored(g, posed):
         n = g.n
@@ -471,7 +469,15 @@ def test_a_witness_that_is_not_lex_least_is_caught(monkeypatch, capsys, tmp_path
         bits = real(mirror, (dominating, connected, req[::-1]))
         return bits and sum(1 << (n - 1 - v) for v in range(n) if bits >> v & 1)
 
-    monkeypatch.setattr(solver, "_layout_value", mirrored)
+    return mirrored
+
+
+def test_a_witness_that_is_not_lex_least_is_caught(monkeypatch, capsys, tmp_path):
+    """Fault injection: a DP that returns a feasible optimum other than the
+    lex-least, its answer on the reversed labelling mapped back, is reported
+    by both differential checks, by the threshold check and, with the
+    threshold at 0, by ``oracle-check``."""
+    monkeypatch.setattr(solver, "_layout_value", _mirrored(solver._layout_value))
     pet = petersen_graph()
     wrong = (PARAM_GAMMA_K_A, 0, (STATUS_FOUND, 5, (5, 6, 7, 8, 9)), (STATUS_FOUND, 5, (0, 1, 2, 3, 4)))
     assert wrong in _oracle_mismatches(pet)
@@ -590,3 +596,47 @@ def test_the_answer_does_not_depend_on_the_cap_beyond_the_oracle():
     seeded connected cubic graphs, k = 0..3."""
     for g in _connected_cubic(tuple(range(24, 34, 2)), 10):
         assert _threshold_mismatches(g, range(4)) == [], g.edges
+
+
+_LOW_DEMAND_CELLS = ((PARAM_GAMMA, None), (PARAM_GAMMA_T, None), (PARAM_GAMMA_K_A, -1))
+
+
+def _second_engine_mismatches(g):
+    """gamma, gamma_t and ``gamma_k_a`` at k = -1 on g where the layout DP's
+    witness differs from ``solve``'s, as ``(target, k, DP's, solve's)``
+    members. These problems have max req <= 1, which the engine choice
+    never hands to the DP, so ``solve`` answers them with the lex engine
+    and its packing rule, which share no code with the DP (ROADMAP item 21)."""
+    found = []
+    for target, k in _LOW_DEMAND_CELLS:
+        got = dp_witness(g, target, k)
+        want = solver.solve(g, target, k, max_n=64).witness.bits
+        if got != want:
+            found.append((target, k, VertexSet(g, got).members, VertexSet(g, want).members))
+    return found
+
+
+def test_a_low_demand_witness_that_is_not_lex_least_is_caught(monkeypatch):
+    """Fault injection: a DP that returns a feasible optimum of the right
+    size that is not the lex-least is reported on each of gamma, gamma_t and
+    ``gamma_k_a`` at k = -1, while ``solve`` keeps its answers."""
+    g = random_cubic(16, 0)
+    assert _second_engine_mismatches(g) == []
+    monkeypatch.setattr(solver, "_layout_value", _mirrored(solver._layout_value))
+    found = _second_engine_mismatches(g)
+    assert [(target, k) for target, k, _, _ in found] == list(_LOW_DEMAND_CELLS)
+    for target, k, got, want in found:
+        demands = lookup_parameter(target).demands
+        assert len(got) == len(want) and meets(g, VertexSet.from_vertices(g, got).bits, k, demands)
+
+
+@pytest.mark.slow
+def test_the_layout_dp_is_a_second_engine_past_the_oracle():
+    """n = 24..50, past the oracle's cap: the layout DP gives gamma, gamma_t
+    and ``gamma_k_a`` at k = -1 the same lex-least witness as ``solve`` on
+    12 connected ``random_cubic`` graphs."""
+    for n, seed in ((24, 1), (24, 2), (28, 1), (28, 2), (32, 1), (32, 2),
+                    (36, 1), (40, 1), (40, 2), (44, 1), (48, 2), (50, 3)):
+        g = random_cubic(n, seed)
+        assert is_connected(g), (n, seed)
+        assert _second_engine_mismatches(g) == [], (n, seed)
