@@ -258,6 +258,17 @@ class _Search:
     - defensive, total deficit: an added vertex ``w`` raises the
       inside-degree of at most ``deg w`` members, so ``need`` slots fill a
       total deficit of at most ``need`` times the largest suffix degree;
+    - defensive, forced neighbours: a member whose deficit equals its
+      number of neighbours in the suffix meets it only if every one of them
+      joins, so they lie in every completion; call them forced. A forced
+      vertex ``u`` is a member of every completion too: its deficit against
+      ``mask`` and the forced set must be met by its suffix neighbours not
+      yet forced. More deficit than such neighbours is a cut, and exactly as
+      many forces them all; more than ``need`` forced vertices is a cut too.
+      Forcing runs through the newly forced vertices only:
+      a vertex forced later lowers an earlier one's deficit and its spare
+      neighbours alike, so no verdict changes. It runs with the other
+      defensive rules, after the total deficit (``forces`` switches it off);
     - defensive and dominating, joint counting: in a completion ``mask | A``
       each unit of the members' total deficit needs an edge from ``A`` to a
       deficient member, and each vertex outside ``cover | mask`` is in ``A``
@@ -287,7 +298,8 @@ class _Search:
     slots left every counting rule reads "demand > 0". The served count
     fires iff some vertex is unserved, which on a dominating problem
     decides domination, and the inside-neighbour demand too at max
-    ``req <= 1``; ``defensive_member`` fires on any deficit; and on a
+    ``req <= 1``; ``defensive_member`` fires on any deficit, so no vertex is
+    forced and ``defensive_forced`` never fires; and on a
     connected problem, which is always dominating, ``connected_reach`` or
     ``connected_count`` (``0 > 1 - C``) fires iff ``G[mask]`` has more than
     one component. On a feasible set every deficit and the undominated count
@@ -300,7 +312,7 @@ class _Search:
 
     RULES = (
         "dominating_cover", "dominating_count", "connected_count", "connected_reach",
-        "defensive_member", "defensive_total", "joint_count", "joint_sum",
+        "defensive_member", "defensive_total", "defensive_forced", "joint_count", "joint_sum",
         "dominating_packing", "connected_edges",
     )
 
@@ -314,6 +326,7 @@ class _Search:
         self.needs_def = most >= 2 if self.needs_dom else most >= 1
         self.packs = self.needs_dom and not self.needs_conn and not self.needs_def
         self.counts_edges = self.needs_dom and self.needs_conn and not self.needs_def
+        self.forces = self.needs_def
         self.full = (1 << n) - 1
         self.serve = serve = [a | ((r == 0) << w) for w, (a, r) in enumerate(zip(adj, req))]
         deg = g.degrees
@@ -407,9 +420,10 @@ class _Search:
             adj = self.adj
             req = self.req
             fill_by = self.fill_by
+            suffix = self.suffix_all[pos]
             fill = self.n
             total = 0
-            deficient = 0
+            deficient = forced = 0
             m = mask
             while m:  # newest member first: it is the likeliest to fail
                 v = m.bit_length() - 1
@@ -424,9 +438,30 @@ class _Search:
                         fill = f
                     total += deficit
                     deficient |= b
+                    near = adj[v] & suffix
+                    if near.bit_count() == deficit:
+                        forced |= near
             self.fill = fill
             if total > need * self.suffix_deg[pos]:
                 return "defensive_total"
+            if forced and self.forces:
+                taken = mask | forced
+                todo = forced
+                while todo:
+                    if forced.bit_count() > need:
+                        return "defensive_forced"
+                    u = todo.bit_length() - 1
+                    todo ^= 1 << u
+                    deficit = req[u] - (adj[u] & taken).bit_count()
+                    if deficit > 0:
+                        near = adj[u] & suffix & ~taken
+                        spare = near.bit_count() - deficit
+                        if spare < 0:
+                            return "defensive_forced"
+                        if not spare:
+                            forced |= near
+                            taken |= near
+                            todo |= near
             if self.needs_dom:
                 demand = total + undominated
                 if demand > need * self.serve_slots[pos]:

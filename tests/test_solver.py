@@ -494,6 +494,50 @@ def test_dominating_packing_counts_disjoint_suppliers(members, pos):
     assert brute_force_oracle(g, PARAM_GAMMA_T).value > 2 + need
 
 
+@pytest.mark.parametrize("g, k, pos, need", [
+    # C_8 at k = 2, where each vertex needs both neighbours. Member 0 has
+    # only 1 and 7 left, so both join; 7 then has only 6 left for its one
+    # missing neighbour, and 6 only 5: four forced vertices for 3 slots.
+    (cycle_graph(8), 2, 1, 3),
+    # The path 0-2-3-1 at k = 1, where the inner vertices need both
+    # neighbours and the ends their one. With 1 decided out, member 0
+    # forces 2, 2 forces 3, and 3 can no longer reach its neighbour 1.
+    (Graph(4, [(0, 2), (2, 3), (3, 1)]), 1, 2, 2),
+])
+def test_defensive_forced_propagates_through_forced_vertices(g, k, pos, need):
+    search = _Search(g, problem(g, PARAM_A_K, k))
+    mask, cover = _prefix_state(search, (0,))
+    assert search._prune(mask, cover, pos, need) == "defensive_forced"
+    search.forces = False
+    assert search._prune(mask, cover, pos, need) is None
+    assert brute_force_oracle(g, PARAM_A_K, k).value > 1 + need
+
+
+def test_defensive_forced_takes_a_whole_cubic_graph():
+    # At k = 2 a cubic vertex needs all three neighbours, so one member of a
+    # connected cubic graph forces every other vertex: n - 2 slots are too
+    # few, and n - 1 pass.
+    g = petersen_graph()
+    search = _Search(g, problem(g, PARAM_A_K, 2))
+    mask, cover = _prefix_state(search, (0,))
+    assert search._prune(mask, cover, 1, g.n - 2) == "defensive_forced"
+    assert search._prune(mask, cover, 1, g.n - 1) is None
+    search.forces = False
+    assert search._prune(mask, cover, 1, g.n - 2) is None
+    assert brute_force_oracle(g, PARAM_A_K, 2).value == g.n
+
+
+def test_defensive_forced_cuts_the_search():
+    # Nodes, not seconds. Without the forced-neighbour rule these take
+    # 18,532 and 192,864 nodes.
+    g = random_cubic(28, 1)
+    stats = solve(g, PARAM_A_K, 2, max_n=g.n).stats
+    assert stats.subsets + stats.prunes <= 1000
+    g = random_cubic(32, 1)
+    stats = solve(g, PARAM_GAMMA_K_CA, 0, max_n=g.n).stats
+    assert stats.subsets + stats.prunes <= 150000
+
+
 def test_dominating_packing_cuts_the_search():
     # Nodes, not seconds. Without the packing rule this takes 1,214,378 nodes,
     # and with the highest-first packing alone 87,236.
@@ -639,6 +683,29 @@ def test_edge_count_keeps_every_answer_beyond_the_oracle():
     _check_beyond_the_oracle(cells, "counts_edges")
 
 
+@pytest.mark.slow
+def test_forced_neighbours_keep_every_answer_beyond_the_oracle():
+    """Past the oracle's cap: ``solve`` against the lex engine from size 1
+    without ``defensive_forced``, value and witness, on a_k at k = 0, 1, 2
+    and gamma_k_ca at k = 0. Seeded connected cubic graphs with n = 24..36,
+    where k = 2 asks for every vertex, and connected G(n, 0.2) with
+    n = 22..24, whose degrees vary."""
+    cubic = [
+        g for g in (random_cubic(24 + 2 * (seed % 7), seed) for seed in range(20))
+        if is_connected(g)
+    ][:12]
+    sparse = [
+        g for g in (random_graph(22 + seed % 3, 0.2, seed) for seed in range(20))
+        if is_connected(g)
+    ][:4]
+    assert (len(cubic), len(sparse)) == (12, 4)
+    _check_beyond_the_oracle(
+        [(g, target, k) for g in cubic + sparse
+         for target, k in ((PARAM_A_K, 0), (PARAM_A_K, 1), (PARAM_A_K, 2), (PARAM_GAMMA_K_CA, 0))],
+        "forces",
+    )
+
+
 def test_relabelling_keeps_values_beyond_the_oracle():
     """n = 24 is past the oracle's cap: compare each graph with a random
     relabelling of itself, and certify the witness mapped back."""
@@ -693,8 +760,8 @@ def test_fill_position_stop_skips_only_children_prune_cuts():
     # Both counters as they would be without the stop: a skipped child counts
     # as a prune, exactly as the cut it stands for. (The gamma_k_a cells with
     # max req <= 1 are cut by dominating_packing too, and the gamma_k_ca
-    # ones by connected_edges.)
-    assert counters == [13499, 53926]
+    # ones by connected_edges; defensive_forced cuts nodes on all three.)
+    assert counters == [12856, 48824]
     # The count is fixed, so the sample cannot shrink unnoticed.
-    assert len(checked) == 11125
+    assert len(checked) == 6954
     assert "defensive_member" in checked
